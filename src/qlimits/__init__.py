@@ -3,8 +3,8 @@
 Library and CLI covering four areas:
 
 * ``qlimits.jc`` -- damped Jaynes-Cummings dynamics of a trapped-ion
-  qubit with two phenomenological reservoir couplings, plus a dense
-  numerical dephasing integrator used as a cross-check oracle.
+  qubit with two phenomenological reservoir couplings, plus an exact
+  dephasing propagator used as a cross-check oracle.
 * ``qlimits.feasibility`` -- closed-form spontaneous-emission budgets
   for ion-trap quantum computation (computation times, decay-rate
   bounds, per-gate error rates, report generation).

@@ -21,7 +21,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import catswap, feasibility
+from . import __version__, catswap, feasibility
 from .core import DensityOperator
 from .entanglement import HarnessConfig, REEConfig, axiom_harness, relative_entropy_of_entanglement
 from .jc import (
@@ -92,7 +92,7 @@ seed_option = click.option(
 
 
 @click.group()
-@click.version_option(package_name="qlimits")
+@click.version_option(version=__version__)
 def main():
     """Trapped-ion decoherence, emission budgets, cat-state swapping and
     entanglement measures."""
@@ -118,7 +118,7 @@ def main():
 @click.option("--g", "g_rad_s", type=float, default=None,
               help="Rabi scale in rad/s; adds a seconds column t_s.")
 @click.option("--oracle", is_flag=True,
-              help="Add a column from the numerical dephasing integrator.")
+              help="Add a column from the exact dephasing propagator.")
 @click.option("--out", default="-", show_default=True, help="CSV destination ('-' = stdout).")
 def cmd_jc(dist, model, gamma0, exponent_d, tmax, points, g_rad_s, oracle, out):
     """Write the damped Rabi curve P_down(gt) as CSV."""
@@ -194,7 +194,10 @@ def cmd_budget(l_list, epsilon, eta, ratio, ions_path, n_ops, out):
 
 
 def _verify_or_die(coll, spec):
-    ok, message = catswap.verify_against_oracle(coll, spec)
+    try:
+        ok, message = catswap.verify_against_oracle(coll, spec)
+    except ValueError as exc:  # above the dense oracle's particle limit
+        raise InputError(f"cannot verify: {exc}") from exc
     if not ok:
         click.echo(f"verification mismatch: {message}", err=True)
         sys.exit(EXIT_VERIFY_MISMATCH)

@@ -16,7 +16,7 @@ Time is dimensionless (g*t) unless stated otherwise; rates named
 with spin index 0 = down, 1 = up.
 
 Index convention: a vibrational weight ``p_n`` is attached to the n-th
-coupled doublet, i.e. the integrator starts that weight from the
+coupled doublet, i.e. the oracle starts that weight from the
 spin-down member |down, n+1>, whose undamped oscillation frequency is
 2 g sqrt(n+1).  This matches :func:`population_lower`, where the p_n
 term oscillates at B_n ~= 2 g sqrt(n+1) and decays at A_n, and matches
@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.constants import hbar, k as k_B
 
 from .core import DensityOperator, PureState
 
@@ -57,6 +56,12 @@ __all__ = [
 ]
 
 TAIL_MASS = 1e-8
+# Most weights (n_max + 1) a distribution may carry; bounds every curve's
+# memory and admits coherent means up to about 3700, thermal up to 220.
+MAX_LEVELS = 4096
+# Exact SI values: reduced Planck constant (J s), Boltzmann constant (J/K)
+hbar = 6.62607015e-34 / (2 * math.pi)
+k_B = 1.380649e-23
 
 
 class CouplingModel(Enum):
@@ -131,6 +136,10 @@ class DressedLabel:
         return pair[0] if self.branch > 0 else pair[1]
 
 
+def _too_many_levels(spec: str) -> ValueError:
+    return ValueError(f"{spec} needs more than MAX_LEVELS={MAX_LEVELS} vibrational levels")
+
+
 @dataclass(frozen=True)
 class VibrationalDistribution:
     """Initial vibrational weight distribution, truncated at n_max.
@@ -164,34 +173,44 @@ class VibrationalDistribution:
     def fock(cls, n: int) -> "VibrationalDistribution":
         if n < 0:
             raise ValueError("Fock index must be >= 0")
+        if n >= MAX_LEVELS:
+            raise _too_many_levels(f"fock:{n}")
         p = np.zeros(n + 1)
         p[n] = 1.0
         return cls("fock", float(n), p)
 
     @classmethod
     def coherent(cls, mean_n: float) -> "VibrationalDistribution":
-        if mean_n < 0:
-            raise ValueError("mean occupation must be >= 0")
+        if not 0.0 <= mean_n < math.inf:
+            raise ValueError("mean occupation must be finite and >= 0")
         if mean_n == 0:
             return cls("coherent", 0.0, np.ones(1))
-        # Poissonian weights, accumulated until the tail is negligible
-        terms = [math.exp(-mean_n)]
-        total = terms[0]
-        n = 0
+        # Poissonian weights, accumulated until the tail is negligible; in
+        # log space because exp(-mean_n) underflows for large means
+        log_mean = math.log(mean_n)
+        terms = []
+        total = 0.0
         while total < 1.0 - TAIL_MASS:
-            n += 1
-            terms.append(terms[-1] * mean_n / n)
+            n = len(terms)
+            if n == MAX_LEVELS:
+                raise _too_many_levels(f"coherent:{mean_n!r}")
+            terms.append(math.exp(n * log_mean - mean_n - math.lgamma(n + 1)))
             total += terms[-1]
         return cls("coherent", float(mean_n), np.array(terms))
 
     @classmethod
     def thermal(cls, mean_n: float) -> "VibrationalDistribution":
-        if mean_n < 0:
-            raise ValueError("mean occupation must be >= 0")
+        if not 0.0 <= mean_n < math.inf:
+            raise ValueError("mean occupation must be finite and >= 0")
         if mean_n == 0:
             return cls("thermal", 0.0, np.ones(1))
+        # the truncation exceeds the mean, and r rounds to 1 for huge means
+        if mean_n >= MAX_LEVELS:
+            raise _too_many_levels(f"thermal:{mean_n!r}")
         r = mean_n / (1.0 + mean_n)
         n_max = max(0, math.ceil(math.log(TAIL_MASS) / math.log(r)) - 1)
+        if n_max >= MAX_LEVELS:
+            raise _too_many_levels(f"thermal:{mean_n!r}")
         n = np.arange(n_max + 1)
         return cls("thermal", float(mean_n), r**n / (1.0 + mean_n))
 
@@ -372,7 +391,7 @@ def population_lower(
 
 
 # ---------------------------------------------------------------------------
-# Numerical dephasing integrator (cross-check oracle)
+# Exact dephasing propagator (cross-check oracle)
 # ---------------------------------------------------------------------------
 #
 # Master equation in the bare basis:
@@ -380,78 +399,54 @@ def population_lower(
 # with D_n = |n,+><n,+| - |n,-><n,-| the population-difference operator
 # of doublet n.  Each doublet coherence then decays at exactly A_n while
 # populations are untouched, reproducing the analytic decay law without
-# a microscopic kernel.  Integration is fixed-step classical RK4.
+# a microscopic kernel.  H and every D_n act inside one doublet
+# {|down,n+1>, |up,n>}, so the Liouvillian splits into one 4x4 block per
+# doublet.  The doublet Hamiltonian H_n is nondegenerate and commutes with
+# D_n, so the operators |u_i><u_j| built from its eigenvectors form a
+# unitary eigenbasis of the block, and rho(t) = exp(L t) rho(0) follows
+# exactly, with no step size.  (numpy.linalg.eig returns nearly parallel
+# eigenvectors for the double eigenvalue 0 of an undamped block.)
 
 
-class _OracleSystem:
-    def __init__(self, dist, params, model):
-        # Two guard levels beyond the populated doublets; the dynamics is
-        # block-diagonal in the doublets so the truncation is exact.
-        self.n_levels = dist.n_max + 3
-        dim = 2 * self.n_levels
-        self.dims = (2, self.n_levels)
-        self.h = jc_hamiltonian(self.n_levels).astype(complex)
-        n_doublets = self.n_levels - 1
-        cols = []
-        mask = np.zeros((2 * n_doublets, 2 * n_doublets))
-        q = np.zeros((dim, dim), dtype=complex)
-        for n in range(n_doublets):
-            plus, minus = dressed_states(n, self.n_levels)
-            vp, vm = plus.amplitudes, minus.amplitudes
-            a_n = damping_rate_normalized(model, n, params)
-            cols.extend([vp, vm])
-            blk = 0.5 * a_n * np.array([[1.0, -1.0], [-1.0, 1.0]])
-            mask[2 * n : 2 * n + 2, 2 * n : 2 * n + 2] = blk
-            q += 0.5 * a_n * (np.outer(vp, vp.conj()) + np.outer(vm, vm.conj()))
-        self.v = np.column_stack(cols)
-        self.mask = mask
-        self.q = q
-        # initial weights sit on the spin-down member of each doublet;
-        # renormalized over the truncation so the trace is exactly 1
-        rho0 = np.zeros((dim, dim), dtype=complex)
-        weights = dist.p_n / dist.p_n.sum()
-        for n, p in enumerate(weights):
-            rho0[n + 1, n + 1] = p
-        self.rho0 = rho0
-        omega_max = 2.0 * math.sqrt(self.n_levels - 1)
-        self.max_step = 0.005 / omega_max
-
-    def rhs(self, rho):
-        comm = self.h @ rho - rho @ self.h
-        sandwich = self.v @ (self.mask * (self.v.conj().T @ rho @ self.v)) @ self.v.conj().T
-        return -1j * comm + sandwich - 0.5 * (self.q @ rho + rho @ self.q)
-
-    def step(self, rho, h):
-        k1 = self.rhs(rho)
-        k2 = self.rhs(rho + 0.5 * h * k1)
-        k3 = self.rhs(rho + 0.5 * h * k2)
-        k4 = self.rhs(rho + h * k3)
-        return rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    def run(self, t_grid):
-        t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-        if t_grid.size == 0:
-            raise ValueError("empty time grid")
-        if (np.diff(t_grid) < 0).any() or t_grid[0] < 0:
-            raise ValueError("time grid must be nonnegative and nondecreasing")
-        rho = self.rho0.copy()
-        t = 0.0
-        for target in t_grid:
-            span = target - t
-            if span > 0:
-                n_steps = max(1, math.ceil(span / self.max_step))
-                h = span / n_steps
-                for _ in range(n_steps):
-                    rho = self.step(rho, h)
-                t = target
-            yield rho
-
-    def check(self, rho):
-        drift = abs(np.trace(rho).real - np.trace(self.rho0).real)
-        if drift > 1e-8 or not np.isfinite(rho).all():
-            raise RuntimeError(
-                f"integrator instability: trace drift {drift:.3e}; reduce the step size"
-            )
+def _oracle_blocks(dist, params, model, t_grid) -> tuple[np.ndarray, int]:
+    """rho(t) on (|down,n+1>, |up,n>) for each doublet n, shape (T, n_max + 1, 2, 2),
+    and the motional truncation of the dense states."""
+    t = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    if t.size == 0:
+        raise ValueError("empty time grid")
+    if (np.diff(t) < 0).any() or t[0] < 0:
+        raise ValueError("time grid must be nonnegative and nondecreasing")
+    # Two guard levels beyond the populated doublets; the dynamics is
+    # block-diagonal in the doublets so the truncation is exact.
+    n_levels = dist.n_max + 3
+    h = jc_hamiltonian(n_levels)
+    eye = np.eye(2)
+    liouvillians, vecs = [], []
+    for n in range(dist.n_max + 1):
+        basis = [n + 1, n_levels + n]
+        plus, minus = (s.amplitudes[basis] for s in dressed_states(n, n_levels))
+        d_n = np.outer(plus, plus.conj()) - np.outer(minus, minus.conj())
+        d_sq = d_n @ d_n
+        h_n = h[np.ix_(basis, basis)]
+        # row-major vectorization: vec(X rho Y) = (X kron Y^T) vec(rho)
+        liouvillians.append(
+            -1j * (np.kron(h_n, eye) - np.kron(eye, h_n.T))
+            + 0.5 * damping_rate_normalized(model, n, params)
+            * (np.kron(d_n, d_n.T) - 0.5 * (np.kron(d_sq, eye) + np.kron(eye, d_sq.T)))
+        )
+        # column i*2+j is vec(|u_i><u_j|) for the eigenvectors u of h_n
+        _, u = np.linalg.eigh(h_n)
+        vecs.append(np.kron(u, u.conj()))
+    liouvillians, vecs = np.array(liouvillians), np.array(vecs)
+    evals = np.einsum("kji,kjl,kli->ki", vecs.conj(), liouvillians, vecs)
+    residual = np.abs(liouvillians @ vecs - vecs * evals[:, None, :]).max()
+    if residual > 1e-10 * max(1.0, np.abs(liouvillians).max()):
+        raise RuntimeError(f"doublet Liouvillian not diagonal in the energy basis: {residual:.3e}")
+    # initial weights sit on the spin-down member of each doublet (vec
+    # index 0), renormalized over the truncation so the trace is exactly 1
+    coeffs = vecs[:, 0, :].conj() * (dist.p_n / dist.p_n.sum())[:, None]
+    blocks = np.einsum("kij,tkj->tki", vecs, coeffs * np.exp(evals * t[:, None, None]))
+    return blocks.reshape(t.size, -1, 2, 2), n_levels
 
 
 def dephasing_oracle_trajectory(
@@ -460,12 +455,15 @@ def dephasing_oracle_trajectory(
     model: CouplingModel,
     t_grid,
 ) -> list[DensityOperator]:
-    """Integrated states at each grid time (dimensionless g*t grid)."""
-    system = _OracleSystem(dist, params, model)
+    """Propagated states at each grid time (dimensionless g*t grid)."""
+    blocks, n_levels = _oracle_blocks(dist, params, model, t_grid)
+    n = np.arange(blocks.shape[1])
+    basis = np.stack([n + 1, n_levels + n], axis=1)
     out = []
-    for rho in system.run(t_grid):
-        system.check(rho)
-        out.append(DensityOperator(rho, system.dims, eig_tol=1e-8))
+    for blk in blocks:
+        rho = np.zeros((2 * n_levels, 2 * n_levels), dtype=complex)
+        rho[basis[:, :, None], basis[:, None, :]] = blk
+        out.append(DensityOperator(rho, (2, n_levels), eig_tol=1e-8))
     return out
 
 
@@ -485,13 +483,9 @@ def oracle_population_lower(
     params: DecoherenceParams,
     model: CouplingModel,
 ) -> np.ndarray:
-    """P_down(t) extracted from the numerical integrator."""
-    system = _OracleSystem(dist, params, model)
-    values = []
-    for rho in system.run(t_grid):
-        system.check(rho)
-        values.append(np.trace(rho[: system.n_levels, : system.n_levels]).real)
-    return np.asarray(values)
+    """P_down(t) from the exact propagator: the summed |down,n+1> populations."""
+    blocks, _ = _oracle_blocks(dist, params, model, t_grid)
+    return blocks[:, :, 0, 0].real.sum(axis=1)
 
 
 def dressed_coherence(rho: DensityOperator | np.ndarray, n: int) -> complex:

@@ -32,6 +32,12 @@ def write_standard_swap(path):
     )
 
 
+def test_version(runner):
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0
+    assert "0.1.0" in result.output
+
+
 class TestJc:
     def test_csv_header_and_initial_row(self, runner):
         result = invoke(runner, "jc", "--dist", "fock:0", "--gamma0", "0", "--tmax", "1", "--points", "3")
@@ -83,6 +89,12 @@ class TestJc:
     def test_bad_distribution_exits_3(self, runner):
         result = runner.invoke(main, ["jc", "--dist", "squeezed:1"])
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize("spec", ["coherent:1e9", "thermal:1e9"])
+    def test_huge_distribution_exits_3(self, runner, spec):
+        result = runner.invoke(main, ["jc", "--dist", spec, "--points", "2"])
+        assert result.exit_code == 3
+        assert "MAX_LEVELS" in result.output
 
     def test_bad_grid_exits_2(self, runner):
         result = runner.invoke(main, ["jc", "--tmax", "-1"])
@@ -190,6 +202,14 @@ class TestSwap:
         result = runner.invoke(main, ["swap", str(scenario), "--verify"])
         assert result.exit_code == 4
 
+    def test_verify_above_dense_limit_exits_3(self, runner, tmp_path):
+        scenario = tmp_path / "big.json"
+        cats = [{"particles": [2 * i, 2 * i + 1], "bits": [0, 0], "sign": "+"} for i in range(9)]
+        scenario.write_text(json.dumps({"cats": cats, "measure": [1, 2]}))
+        result = runner.invoke(main, ["swap", str(scenario), "--verify"])
+        assert result.exit_code == 3
+        assert "dense limit" in result.output
+
 
 class TestExchange:
     def test_fig6_request(self, runner):
@@ -198,6 +218,14 @@ class TestExchange:
         data = json.loads(result.output)
         assert data["measure"] == [2, 3, 5]
         assert all(o["residual"]["particles"] == [1, 4, 6] for o in data["outcomes"])
+
+    def test_verify_above_dense_limit_exits_3(self, runner):
+        # eight users hold 16 particles, above the dense oracle's limit of 14
+        result = runner.invoke(
+            main, ["exchange", "--users", "A,B,C,D,E,F,G,H", "--request", "A,B", "--verify"]
+        )
+        assert result.exit_code == 3
+        assert "dense limit" in result.output
 
     def test_unknown_user_exits_3(self, runner):
         result = runner.invoke(main, ["exchange", "--users", "A,B", "--request", "Z"])

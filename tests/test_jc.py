@@ -1,11 +1,14 @@
 """Tests for the damped Jaynes-Cummings module."""
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy.constants import hbar, k as k_B
 
+from qlimits.core import PureState
 from qlimits.jc import (
+    MAX_LEVELS,
     CouplingModel,
     DecoherenceParams,
     OverdampedError,
@@ -237,6 +240,32 @@ class TestVibrationalDistribution:
         ratio = d.p_n[1] / d.p_n[0]
         assert ratio == pytest.approx(2.0 / 3.0, rel=1e-12)
 
+    def test_coherent_large_mean(self):
+        # exp(-800) underflows; the weights must still sum to 1
+        d = VibrationalDistribution.coherent(800.0)
+        assert 1.0 - d.p_n.sum() <= 1e-8
+        mean = (np.arange(d.n_max + 1) * d.p_n).sum()
+        assert mean == pytest.approx(800.0, abs=1e-3)
+
+    @pytest.mark.parametrize("kind", ["coherent", "thermal"])
+    def test_huge_mean_rejected_quickly(self, kind):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="MAX_LEVELS"):
+            getattr(VibrationalDistribution, kind)(1e9)
+        assert time.perf_counter() - start < 1.0
+
+    def test_truncation_cap(self):
+        assert VibrationalDistribution.fock(MAX_LEVELS - 1).n_max == MAX_LEVELS - 1
+        with pytest.raises(ValueError, match="MAX_LEVELS"):
+            VibrationalDistribution.fock(MAX_LEVELS)
+        # the cap sits above the thermal truncation at mean 15, below the one at mean 300
+        assert VibrationalDistribution.thermal(15.0).n_max < MAX_LEVELS
+        with pytest.raises(ValueError, match="MAX_LEVELS"):
+            VibrationalDistribution.thermal(300.0)
+        for bad in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValueError, match="finite"):
+                VibrationalDistribution.coherent(bad)
+
     def test_parse(self):
         assert VibrationalDistribution.parse("fock:2").kind == "fock"
         assert VibrationalDistribution.parse("coherent:3.0").parameter == 3.0
@@ -351,14 +380,44 @@ class TestDephasingOracle:
         with pytest.raises(ValueError, match="nondecreasing"):
             dephasing_oracle_trajectory(dist, params, DI, [1.0, 0.5])
 
-    def test_instability_reported_with_diagnostics(self):
-        from qlimits.jc import _OracleSystem
+    def test_invariants_on_every_state(self):
+        # far out in time, for a mixed distribution, and at critical and
+        # overdamped rates: every state keeps unit trace and is Hermitian
+        # and positive (DensityOperator enforces both), and the population
+        # view agrees with the dense states
+        cases = [
+            (VibrationalDistribution.fock(1), DecoherenceParams(0.2, 0.4), np.linspace(0.0, 200.0, 101)),
+            (VibrationalDistribution.coherent(1.0), DecoherenceParams(0.2, 0.4), np.linspace(0.0, 20.0, 41)),
+            (VibrationalDistribution.fock(0), DecoherenceParams(2.0, 0.4), np.linspace(0.0, 10.0, 41)),
+            (VibrationalDistribution.fock(0), DecoherenceParams(5.0, 0.4), np.linspace(0.0, 10.0, 41)),
+        ]
+        for dist, params, grid in cases:
+            states = dephasing_oracle_trajectory(dist, params, DI, grid)
+            assert len(states) == grid.size
+            assert states[0].dims == (2, dist.n_max + 3)
+            n_levels = states[0].dims[1]
+            for state in states:
+                assert abs(np.trace(state.matrix).real - 1.0) < 1e-10
+            spin_down = [np.trace(s.matrix[:n_levels, :n_levels]).real for s in states]
+            np.testing.assert_allclose(
+                oracle_population_lower(grid, dist, params, DI), spin_down, rtol=0, atol=1e-14
+            )
 
-        system = _OracleSystem(VibrationalDistribution.fock(1), DecoherenceParams(0.2, 0.4), DI)
-        system.max_step = 50.0  # force a wildly unstable step
-        with pytest.raises(RuntimeError, match="step size"):
-            for rho in system.run([200.0]):
-                system.check(rho)
+    def test_noncommuting_dephasing_rejected(self, monkeypatch):
+        # the propagator relies on D_n commuting with H; a D_n that does
+        # not (here sigma_z in the bare basis) must fail loudly
+        import qlimits.jc as jc_module
+
+        def bare_pair(n, n_levels):
+            up, down = np.zeros((2, 2 * n_levels), dtype=complex)
+            up[n_levels + n] = down[n + 1] = 1.0
+            return PureState(up, (2, n_levels)), PureState(down, (2, n_levels))
+
+        monkeypatch.setattr(jc_module, "dressed_states", bare_pair)
+        with pytest.raises(RuntimeError, match="not diagonal"):
+            dephasing_oracle_trajectory(
+                VibrationalDistribution.fock(0), DecoherenceParams(0.2, 0.4), DI, [1.0]
+            )
 
     def test_population_matches_analytic_weights(self):
         # mixed distribution: numeric P_down tracks the analytic formula
