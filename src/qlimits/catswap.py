@@ -259,18 +259,17 @@ def enumerate_outcomes(coll: CatCollection, spec: MeasurementSpec) -> list[SwapO
     sel_order = tuple(sorted(spec.selected))
     rest_order = tuple(sorted(p for _, _, rest in touched for p in rest))
     sign_product = math.prod(cat.sign for cat, _, _ in touched)
-    outcomes: dict[tuple, SwapOutcome] = {}
-    for branches in itertools.product((0, 1), repeat=len(touched)):
+    outcomes = []
+    # the complement branch assignment repeats the canonical basis, so
+    # the first touched cat's branch is fixed to 0
+    for tail in itertools.product((0, 1), repeat=len(touched) - 1):
         for basis_sign in (+1, -1):
             outcome = _outcome_for_branches(
-                touched, sel_order, rest_order, branches, basis_sign, sign_product
+                touched, sel_order, rest_order, (0, *tail), basis_sign, sign_product
             )
-            if outcome is None:
-                continue
-            key = (outcome.basis.bits, outcome.basis.sign)
-            if key not in outcomes:  # complement branch assignment repeats the canonical basis
-                outcomes[key] = outcome
-    return sorted(outcomes.values(), key=lambda o: (o.basis.bits, 0 if o.basis.sign > 0 else 1))
+            if outcome is not None:
+                outcomes.append(outcome)
+    return sorted(outcomes, key=lambda o: (o.basis.bits, 0 if o.basis.sign > 0 else 1))
 
 
 def project_outcome(coll: CatCollection, spec: MeasurementSpec, basis: CatState):

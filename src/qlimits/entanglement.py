@@ -14,6 +14,10 @@ Restarts are independent and the reported value is the minimum over
 the fixed seed set, so results are reproducible.  Only bipartite
 inputs up to total dimension 16 are supported; the multipartite
 minimization is out of scope.
+
+The classical correlations need no search: the distance from sigma to
+the closest product state is attained exactly at the product of its
+marginals, where it equals the mutual information.
 """
 from __future__ import annotations
 
@@ -21,13 +25,13 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.optimize
 
 from .core import (
     DensityOperator,
     PureState,
     partial_trace,
     quantum_relative_entropy,
+    tensor_product,
     von_neumann_entropy,
 )
 
@@ -59,32 +63,45 @@ __all__ = [
 LN2 = math.log(2.0)
 MAX_TOTAL_DIM = 16
 
+# Optimizer schedule, part of the deterministic contract: iterations per
+# restart, the per-step gain that resets the stall counter, restarts
+# without improvement before giving up, the value below which the search
+# stops, and the spacing of best-product-direction steps.
+_MAX_ITERS = 300
+_TOL = 1e-8
+_PATIENCE = 5
+_STOP_VALUE = 1e-6
+_DIRECTION_EVERY = 4
+
+
+def _n_terms(dims) -> int:
+    """Number of product terms in the separable ansatz."""
+    return max(8, int(np.prod(dims)) + 4)
+
 
 @dataclass(frozen=True)
 class REEConfig:
-    """Optimizer settings; defaults suit two-qubit inputs.
+    """Restart count and seed of the multi-start search.
 
-    ``n_terms`` of None picks max(8, dA*dB + 4).  Restarts stop early
-    once the best value drops below ``stop_value`` or after
-    ``patience`` restarts without improvement; the schedule is part of
-    the deterministic contract.  Early stopping below ``stop_value``
-    costs at most ``stop_value`` of tightness (the optimizer only ever
-    returns upper bounds), well under the 1e-3 reporting target.
+    Restarts stop early once the best value drops below 1e-6 or after
+    5 restarts without improvement; the schedule is part of the
+    deterministic contract.  Early stopping below 1e-6 costs at most
+    that much tightness (the optimizer only ever returns upper bounds),
+    well under the 1e-3 reporting target.
     """
 
-    n_terms: int | None = None
     restarts: int = 16
-    max_iters: int = 300
-    tol: float = 1e-8
     seed: int = 0
-    patience: int = 5
-    stop_value: float = 1e-6
-    direction_every: int = 4
 
-    def terms_for(self, dims) -> int:
-        if self.n_terms is not None:
-            return self.n_terms
-        return max(8, int(np.prod(dims)) + 4)
+
+def _product_vectors(a, b) -> np.ndarray:
+    """(K, da*db) array of the product kets a_k (x) b_k."""
+    return np.einsum("ka,kb->kab", a, b).reshape(a.shape[0], -1)
+
+
+def _mixture_density(weights, psi) -> np.ndarray:
+    """sum_k w_k |psi_k><psi_k| as a plain matrix."""
+    return np.einsum("k,ki,kj->ij", weights, psi, psi.conj())
 
 
 @dataclass(frozen=True)
@@ -125,13 +142,11 @@ class SeparableAnsatz:
         """(K, prod(dims)) array of the product kets."""
         vectors = self.local_states[0]
         for states in self.local_states[1:]:
-            vectors = np.einsum("ka,kb->kab", vectors, states).reshape(vectors.shape[0], -1)
+            vectors = _product_vectors(vectors, states)
         return vectors
 
     def assemble(self) -> DensityOperator:
-        psi = self.product_vectors()
-        rho = np.einsum("k,ki,kj->ij", self.weights, psi, psi.conj())
-        return DensityOperator(rho, self.dims)
+        return DensityOperator(_mixture_density(self.weights, self.product_vectors()), self.dims)
 
 
 @dataclass
@@ -154,14 +169,14 @@ class EntanglementResult:
 class ClassicalCorrelationsResult:
     """Distance to the closest product state, with its closed form.
 
-    ``value`` is the optimized minimum of S(sigma || rho_A (x) rho_B);
+    ``value`` is S(sigma || sigma_A (x) sigma_B), the exact minimum of
+    S(sigma || rho_A (x) rho_B) over product states;
     ``mutual_information`` is S(sigma_A) + S(sigma_B) - S(sigma), the
-    value attained at the marginals.  The two must agree closely.
+    entropy form of the same number.  The two agree to rounding.
     """
 
     value: float
     mutual_information: float
-    converged: bool
 
     def __float__(self) -> float:
         return self.value
@@ -220,23 +235,9 @@ def _normalize_rows(states):
     return states / norms
 
 
-class _MixtureState:
-    """Mutable optimizer state: weights plus per-party local states."""
-
-    def __init__(self, weights, local_a, local_b):
-        self.w = np.asarray(weights, dtype=float)
-        self.a = np.asarray(local_a, dtype=complex)
-        self.b = np.asarray(local_b, dtype=complex)
-
-    def copy(self):
-        return _MixtureState(self.w.copy(), self.a.copy(), self.b.copy())
-
-    def product_vectors(self):
-        return np.einsum("ka,kb->kab", self.a, self.b).reshape(self.w.size, -1)
-
-    def density(self):
-        psi = self.product_vectors()
-        return np.einsum("k,ki,kj->ij", self.w, psi, psi.conj())
+def _density(w, a, b) -> np.ndarray:
+    """Mixture density of the optimizer's plain (w, a, b) arrays."""
+    return _mixture_density(w, _product_vectors(a, b))
 
 
 def _best_product_direction(gradient, dims, seeds, rng):
@@ -263,74 +264,76 @@ def _best_product_direction(gradient, dims, seeds, rng):
     return best[1], best[2]
 
 
-def _optimize_restart(sigma_mat, sigma_term, dims, state, config, rng):
-    """Projected gradient descent with periodic direction search."""
-    f, gradient = _objective_and_gradient(sigma_mat, sigma_term, state.density())
+def _optimize_restart(sigma_mat, sigma_term, dims, w, a, b, rng):
+    """Projected gradient descent with periodic direction search.
+
+    The mixture is carried as plain arrays: weights ``w`` and the
+    party-A and party-B local states ``a`` and ``b``, one row per term.
+    """
+    f, gradient = _objective_and_gradient(sigma_mat, sigma_term, _density(w, a, b))
     if not math.isfinite(f):
         # infeasible start (sigma support not covered): reject the
         # restart; the marginal-product start is always feasible
-        return math.inf, state, [math.inf], 0, False
+        return math.inf, (w, a, b), [math.inf], 0, False
     history = [f]
     step = 1.0
     stall = 0
     iterations = 0
     d_a, d_b = dims
-    for iteration in range(config.max_iters):
+    for iteration in range(_MAX_ITERS):
         iterations = iteration + 1
-        psi = state.product_vectors()
+        psi = _product_vectors(a, b)
         g_psi = (psi @ gradient.T).reshape(-1, d_a, d_b)
         grad_w = np.einsum("ki,ij,kj->k", psi.conj(), gradient, psi).real
-        grad_a = state.w[:, None] * np.einsum("kab,kb->ka", g_psi, state.b.conj())
-        grad_b = state.w[:, None] * np.einsum("kab,ka->kb", g_psi, state.a.conj())
+        grad_a = w[:, None] * np.einsum("kab,kb->ka", g_psi, b.conj())
+        grad_b = w[:, None] * np.einsum("kab,ka->kb", g_psi, a.conj())
         improved = False
         alpha = step
         for _ in range(12):
-            trial = _MixtureState(
-                _project_simplex(state.w - alpha * grad_w),
-                _normalize_rows(state.a - alpha * grad_a),
-                _normalize_rows(state.b - alpha * grad_b),
-            )
-            f_trial, _ = _objective_and_gradient(sigma_mat, sigma_term, trial.density(), False)
+            w_t = _project_simplex(w - alpha * grad_w)
+            a_t = _normalize_rows(a - alpha * grad_a)
+            b_t = _normalize_rows(b - alpha * grad_b)
+            f_trial, _ = _objective_and_gradient(sigma_mat, sigma_term, _density(w_t, a_t, b_t), False)
             if f_trial < f - 1e-14:
-                state, f = trial, f_trial
+                w, a, b, f = w_t, a_t, b_t, f_trial
                 step = min(alpha * 1.5, 1e3)
                 improved = True
                 break
             alpha *= 0.5
         if improved:
-            gradient = _objective_and_gradient(sigma_mat, sigma_term, state.density())[1]
+            gradient = _objective_and_gradient(sigma_mat, sigma_term, _density(w, a, b))[1]
             history.append(f)
-        if not improved or iteration % config.direction_every == config.direction_every - 1:
+        if not improved or iteration % _DIRECTION_EVERY == _DIRECTION_EVERY - 1:
             # direction search: mix in the best product state for the
             # current gradient, replacing the lightest term
-            heaviest = int(np.argmax(state.w))
-            seeds = [state.b[heaviest]]
+            heaviest = int(np.argmax(w))
+            seeds = [b[heaviest]]
             a_new, b_new = _best_product_direction(gradient, dims, seeds, rng)
-            lightest = int(np.argmin(state.w))
+            lightest = int(np.argmin(w))
             for gamma in (0.5, 0.2, 0.05, 0.01):
-                trial = state.copy()
-                trial.w[lightest] = 0.0
-                total = trial.w.sum()
+                w_t, a_t, b_t = w.copy(), a.copy(), b.copy()
+                w_t[lightest] = 0.0
+                total = w_t.sum()
                 if total <= 0:
                     continue
-                trial.w *= (1.0 - gamma) / total
-                trial.w[lightest] = gamma
-                trial.a[lightest] = a_new
-                trial.b[lightest] = b_new
-                f_trial, _ = _objective_and_gradient(sigma_mat, sigma_term, trial.density(), False)
+                w_t *= (1.0 - gamma) / total
+                w_t[lightest] = gamma
+                a_t[lightest] = a_new
+                b_t[lightest] = b_new
+                f_trial, _ = _objective_and_gradient(sigma_mat, sigma_term, _density(w_t, a_t, b_t), False)
                 if f_trial < f - 1e-14:
-                    state, f = trial, f_trial
-                    gradient = _objective_and_gradient(sigma_mat, sigma_term, state.density())[1]
+                    w, a, b, f = w_t, a_t, b_t, f_trial
+                    gradient = _objective_and_gradient(sigma_mat, sigma_term, _density(w, a, b))[1]
                     history.append(f)
                     improved = True
                     break
-        if improved and len(history) >= 2 and history[-2] - history[-1] > config.tol:
+        if improved and len(history) >= 2 and history[-2] - history[-1] > _TOL:
             stall = 0
         else:
             stall += 1
             if stall >= 3:
-                return f, state, history, iterations, True
-    return f, state, history, iterations, False
+                return f, (w, a, b), history, iterations, True
+    return f, (w, a, b), history, iterations, False
 
 
 def _marginal_bases(sigma: DensityOperator):
@@ -342,6 +345,7 @@ def _marginal_bases(sigma: DensityOperator):
 
 
 def _initial_state(sigma, dims, n_terms, restart, rng):
+    """Starting mixture (w, a, b) of one restart."""
     d_a, d_b = dims
     if restart in (0, 1):
         p, u, q, v = _marginal_bases(sigma)
@@ -365,11 +369,11 @@ def _initial_state(sigma, dims, n_terms, restart, rng):
             weights.append(0.0)
         weights = np.clip(np.asarray(weights[:n_terms]), 0.0, None)
         weights = weights / weights.sum()
-        return _MixtureState(weights, np.asarray(local_a[:n_terms]), np.asarray(local_b[:n_terms]))
+        return weights, np.asarray(local_a[:n_terms]), np.asarray(local_b[:n_terms])
     local_a = rng.standard_normal((n_terms, d_a)) + 1j * rng.standard_normal((n_terms, d_a))
     local_b = rng.standard_normal((n_terms, d_b)) + 1j * rng.standard_normal((n_terms, d_b))
     weights = rng.dirichlet(np.ones(n_terms))
-    return _MixtureState(weights, _normalize_rows(local_a), _normalize_rows(local_b))
+    return weights, _normalize_rows(local_a), _normalize_rows(local_b)
 
 
 def relative_entropy_of_entanglement(
@@ -384,7 +388,7 @@ def relative_entropy_of_entanglement(
     config = config or REEConfig()
     _require_bipartite(sigma.dims)
     dims = sigma.dims
-    n_terms = config.terms_for(dims)
+    n_terms = _n_terms(dims)
     lam = np.linalg.eigvalsh(sigma.matrix)
     lam = lam[lam > 1e-12]
     sigma_term = float((lam * np.log(lam)).sum())
@@ -395,23 +399,20 @@ def relative_entropy_of_entanglement(
     for restart in range(config.restarts):
         restarts_used = restart + 1
         rng = np.random.default_rng((config.seed, restart))
-        state0 = _initial_state(sigma, dims, n_terms, restart, rng)
-        f, state, history, iterations, converged = _optimize_restart(
-            sigma.matrix, sigma_term, dims, state0, config, rng
+        w, a, b = _initial_state(sigma, dims, n_terms, restart, rng)
+        f, mixture, history, iterations, converged = _optimize_restart(
+            sigma.matrix, sigma_term, dims, w, a, b, rng
         )
         if best is None or f < best[0]:
             if best is not None and f < best[0] - 1e-6:
                 last_improvement = restart
-            best = (f, state, history, iterations, converged)
-        if best[0] < config.stop_value:
+            best = (f, mixture, history, iterations, converged)
+        if best[0] < _STOP_VALUE:
             break
-        if restart - last_improvement >= config.patience:
+        if restart - last_improvement >= _PATIENCE:
             break
-    f, state, history, iterations, converged = best
-    ansatz = SeparableAnsatz(
-        state.w, (_normalize_rows(state.a), _normalize_rows(state.b)), dims
-    )
-    closest = ansatz.assemble()
+    f, (w, a, b), history, iterations, converged = best
+    closest = SeparableAnsatz(w, (_normalize_rows(a), _normalize_rows(b)), dims).assemble()
     value = quantum_relative_entropy(sigma, closest)
     if not math.isfinite(value):
         value = f
@@ -436,80 +437,24 @@ def pure_state_entanglement(psi: PureState) -> float:
     return s_a
 
 
-def _rho_from_params(x, d):
-    n = 2 * d * d
-    z = x[:n:2] + 1j * x[1 : n : 2]
-    m = z.reshape(d, d)
-    rho = m.conj().T @ m
-    trace = np.trace(rho).real
-    if trace < 1e-300:
-        rho = np.eye(d) / d
-        trace = 1.0
-    return rho / trace
-
-
-def _marginal_cross_entropy(weights_basis, rho):
-    mu, u = np.linalg.eigh(rho)
-    mu = np.clip(mu, 1e-18, None)
-    diag = np.einsum("ij,jk,ki->i", u.conj().T, weights_basis, u).real
-    return -float(diag @ np.log(mu))
-
-
-def classical_correlations(
-    sigma: DensityOperator, *, seed: int = 0, restarts: int = 3, max_iters: int = 400
-) -> ClassicalCorrelationsResult:
+def classical_correlations(sigma: DensityOperator) -> ClassicalCorrelationsResult:
     """Distance to the closest product (uncorrelated) state, in nats.
 
-    Minimizes S(sigma || rho_A (x) rho_B) over product states; the
-    minimum is the mutual information S(sigma_A) + S(sigma_B) -
-    S(sigma), attained at the marginals, and the optimizer result is
-    reported next to that closed form as a consistency check.
+    For any product state, S(sigma || rho_A (x) rho_B) =
+    S(sigma || sigma_A (x) sigma_B) + S(sigma_A || rho_A) +
+    S(sigma_B || rho_B) (Vedral & Plenio, PRA 57, 1619 (1998)), so the
+    minimum is attained exactly at the marginals.  It is reported next
+    to its entropy form, the mutual information S(sigma_A) + S(sigma_B)
+    - S(sigma), as a consistency check.
     """
     _require_bipartite(sigma.dims)
-    d_a, d_b = sigma.dims
     s_a = partial_trace(sigma, [0])
     s_b = partial_trace(sigma, [1])
-    entropy_sigma = von_neumann_entropy(sigma)
-    mutual_information = von_neumann_entropy(s_a) + von_neumann_entropy(s_b) - entropy_sigma
-
-    n_a = 2 * d_a * d_a
-
-    def objective(x):
-        rho_a = _rho_from_params(x[:n_a], d_a)
-        rho_b = _rho_from_params(x[n_a:], d_b)
-        return (
-            -entropy_sigma
-            + _marginal_cross_entropy(s_a.matrix, rho_a)
-            + _marginal_cross_entropy(s_b.matrix, rho_b)
-        )
-
-    def pack(rho_a, rho_b):
-        out = []
-        for rho, d in ((rho_a, d_a), (rho_b, d_b)):
-            vals, vecs = np.linalg.eigh(rho)
-            root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-            flat = np.empty(2 * d * d)
-            flat[0::2] = root.real.reshape(-1)
-            flat[1::2] = root.imag.reshape(-1)
-            out.append(flat)
-        return np.concatenate(out)
-
-    rng = np.random.default_rng(seed)
-    starts = [pack(s_a.matrix, s_b.matrix)]
-    for _ in range(max(0, restarts - 1)):
-        starts.append(rng.standard_normal(n_a + 2 * d_b * d_b))
-    best = math.inf
-    converged = False
-    for x0 in starts:
-        result = scipy.optimize.minimize(
-            objective, x0, method="L-BFGS-B", options={"maxiter": max_iters}
-        )
-        if result.fun < best:
-            best = float(result.fun)
-            converged = bool(result.success)
-    return ClassicalCorrelationsResult(
-        value=best, mutual_information=float(mutual_information), converged=converged
+    mutual_information = (
+        von_neumann_entropy(s_a) + von_neumann_entropy(s_b) - von_neumann_entropy(sigma)
     )
+    value = quantum_relative_entropy(sigma, tensor_product(s_a, s_b))
+    return ClassicalCorrelationsResult(value=value, mutual_information=float(mutual_information))
 
 
 def distillation_bound(n_pairs: int, sigma: DensityOperator, *, entanglement: float | None = None,

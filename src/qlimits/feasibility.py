@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from scipy.constants import c, epsilon_0, hbar
+from .jc import hbar
 
 __all__ = [
     "MUCH_GREATER",
@@ -56,6 +56,11 @@ __all__ = [
     "load_ion_config",
     "feasibility_report",
 ]
+
+# SI constants: speed of light (m/s, exact) and vacuum permittivity
+# (F/m, CODATA 2022)
+c = 299792458.0
+epsilon_0 = 8.8541878188e-12
 
 MUCH_GREATER = "much_greater"
 MUCH_LESS = "much_less"

@@ -119,7 +119,7 @@ def fit_log_slope(t, values):
 
 
 def test_criterion_decoherence_oracle_equivalence():
-    """Integrator coherence decay matches A_n within 2%; gamma0=0 matches unitary evolution within 1e-8."""
+    """Exact-propagator coherence decay matches A_n within 2%; gamma0=0 matches unitary evolution within 1e-8."""
     worst = 0.0
     for n in range(6):
         dist = VibrationalDistribution.fock(n)
@@ -134,7 +134,7 @@ def test_criterion_decoherence_oracle_equivalence():
             worst = max(worst, deviation)
             assert deviation < 0.02, f"n={n}, gamma0={gamma0}: rate {rate} vs A_n {a_n}"
 
-    # no damping: integrator equals closed-form unitary evolution
+    # no damping: exact propagator equals closed-form unitary evolution
     dist = VibrationalDistribution.fock(3)
     params = DecoherenceParams(0.0, 0.4)
     t_final = 9.0

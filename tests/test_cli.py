@@ -1,11 +1,15 @@
 """CLI contract tests: exit codes, file formats, determinism."""
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import qlimits
 from qlimits.cli import main
 
 
@@ -36,6 +40,17 @@ def test_version(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
     assert "0.1.0" in result.output
+
+
+def test_cli_imports_no_scipy():
+    # scipy is a test-only dependency; the CLI must start without it
+    src = os.path.dirname(os.path.dirname(qlimits.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, qlimits.cli; print('scipy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestJc:

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from qlimits.core import DensityOperator, PureState, quantum_relative_entropy
+from qlimits.core import (
+    DensityOperator,
+    PureState,
+    partial_trace,
+    quantum_relative_entropy,
+    tensor_product,
+)
 from qlimits.entanglement import (
     HarnessConfig,
     REEConfig,
@@ -232,6 +238,28 @@ class TestClassicalCorrelations:
             sigma = random_density_operator(rng, (2, 2))
             result = classical_correlations(sigma)
             assert result.value == pytest.approx(result.mutual_information, abs=1e-4)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+    def test_marginal_product_is_the_minimum(self, dims):
+        # S(sigma||rho_A (x) rho_B) = value + S(sigma_A||rho_A) + S(sigma_B||rho_B)
+        # for every product state, so no product state beats the value
+        rng = np.random.default_rng(43)
+        for _ in range(10):
+            sigma = random_density_operator(rng, dims)
+            value = classical_correlations(sigma).value
+            s_a = partial_trace(sigma, [0])
+            s_b = partial_trace(sigma, [1])
+            for _ in range(5):
+                rho_a = random_density_operator(rng, dims[:1])
+                rho_b = random_density_operator(rng, dims[1:])
+                distance = quantum_relative_entropy(sigma, tensor_product(rho_a, rho_b))
+                split = (
+                    value
+                    + quantum_relative_entropy(s_a, rho_a)
+                    + quantum_relative_entropy(s_b, rho_b)
+                )
+                assert distance == pytest.approx(split, abs=1e-10)
+                assert distance >= value
 
 
 class TestDistillationBound:
