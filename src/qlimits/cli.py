@@ -278,7 +278,8 @@ def _load_density(path) -> DensityOperator:
 @main.command("ree")
 @click.argument("state_file", type=click.Path(), required=False)
 @click.option("--axioms", is_flag=True, help="Run the E1-E6 axiom harness instead.")
-@click.option("--restarts", type=int, default=16, show_default=True, help="Optimizer restarts.")
+@click.option("--restarts", type=click.IntRange(min=1), default=16, show_default=True,
+              help="Optimizer restarts (pure and 2x2/2x3 PPT inputs need none).")
 @seed_option
 @click.option("--out", default="-", show_default=True, help="JSON destination.")
 def cmd_ree(state_file, axioms, restarts, seed, out):

@@ -1,7 +1,19 @@
 """Relative entropy of entanglement and its axiom suite.
 
 The measure is E(sigma) = min over separable rho of S(sigma || rho).
-No closed form is known in general, so the minimum is searched
+Each solve goes to the cheapest exact route that applies:
+
+* a pure input (top eigenvalue within 1e-12 of 1) has E equal to the
+  entropy of its Schmidt weights, attained at sum_i p_i |ii><ii| in the
+  Schmidt basis (Vedral & Plenio, PRA 57, 1619 (1998));
+* in 2x2 and 2x3 a state whose partial transpose has no eigenvalue
+  below -1e-12 is treated as PPT, and PPT states there are separable
+  (Horodecki, Horodecki & Horodecki, PLA 223, 1 (1996)).  The closest
+  state is sigma itself, or, when the partial transpose dips below 0 by
+  eps, (1 - q) sigma + q I/d with the smallest q that makes it PPT; the
+  value is then at most ln(1 + d eps).
+
+No closed form is known otherwise, so the minimum is searched
 numerically: separable states are parametrized as convex mixtures of K
 product pure states and optimized by projected gradient descent on the
 weights and local states, interleaved with best-product-direction
@@ -27,6 +39,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import (
+    ENTROPY_EIGENVALUE_CUTOFF,
     DensityOperator,
     PureState,
     partial_trace,
@@ -73,6 +86,13 @@ _PATIENCE = 5
 _STOP_VALUE = 1e-6
 _DIRECTION_EVERY = 4
 
+# Closed-form routes: a spectrum within _PURE_TOL of 1 counts as pure, a
+# partial transpose no lower than -_PPT_TOL as positive; the PPT test
+# certifies separability only up to total dimension _PPT_MAX_DIM.
+_PURE_TOL = 1e-12
+_PPT_TOL = 1e-12
+_PPT_MAX_DIM = 6
+
 
 def _n_terms(dims) -> int:
     """Number of product terms in the separable ansatz."""
@@ -83,15 +103,21 @@ def _n_terms(dims) -> int:
 class REEConfig:
     """Restart count and seed of the multi-start search.
 
-    Restarts stop early once the best value drops below 1e-6 or after
-    5 restarts without improvement; the schedule is part of the
-    deterministic contract.  Early stopping below 1e-6 costs at most
-    that much tightness (the optimizer only ever returns upper bounds),
-    well under the 1e-3 reporting target.
+    ``restarts`` must be at least 1; pure and 2x2/2x3 PPT inputs are
+    answered in closed form and use none.  Restarts stop early once the
+    best value drops below 1e-6 or after 5 restarts without
+    improvement; the schedule is part of the deterministic contract.
+    Early stopping below 1e-6 costs at most that much tightness (the
+    optimizer only ever returns upper bounds), well under the 1e-3
+    reporting target.
     """
 
     restarts: int = 16
     seed: int = 0
+
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be >= 1, got {self.restarts!r}")
 
 
 def _product_vectors(a, b) -> np.ndarray:
@@ -151,13 +177,21 @@ class SeparableAnsatz:
 
 @dataclass
 class EntanglementResult:
-    """Measure value in nats plus optimizer diagnostics."""
+    """Measure value in nats plus optimizer diagnostics.
+
+    ``stop_reason`` names the route that produced the value: ``"pure"``
+    or ``"ppt"`` for the closed forms (no restarts, no iterations), or
+    how the search ended: ``"stop_value"`` (value below 1e-6),
+    ``"patience"`` (5 restarts without improvement) or ``"restarts"``
+    (the configured restarts ran out).
+    """
 
     value: float
     closest_state: DensityOperator
     iterations: int
     converged: bool
     restarts_used: int
+    stop_reason: str
     objective_history: tuple[float, ...] = field(repr=False, default=())
 
     @property
@@ -194,29 +228,33 @@ def _require_bipartite(dims):
 # ---------------------------------------------------------------------------
 
 
-def _objective_and_gradient(sigma_mat, sigma_term, rho, want_gradient=True):
-    """f = tr(sigma ln sigma) - tr(sigma ln rho) and dF/drho.
+def _objective(sigma_mat, sigma_term, rho):
+    """f = tr(sigma ln sigma) - tr(sigma ln rho) and the spectrum behind it.
 
-    Returns (inf, None) for trial states that lose the support of
-    sigma; such points are rejected by the line search, never averaged.
+    The second element is what :func:`_gradient` needs, so a trial
+    state that is accepted costs no second ``eigh``.  Returns
+    (inf, None) for trial states that lose the support of sigma; such
+    points are rejected by the line search, never averaged.
     """
     mu, u = np.linalg.eigh(rho)
     sigma_rot = u.conj().T @ sigma_mat @ u
     diag = sigma_rot.diagonal().real
     if float(diag[mu < 1e-15].sum()) > 1e-9:
         return math.inf, None
-    mu = np.clip(mu, 1e-18, None)
+    mu = np.maximum(mu, 1e-18)
     log_mu = np.log(mu)
-    f = sigma_term - float(diag @ log_mu)
-    if not want_gradient:
-        return f, None
+    return sigma_term - float(diag @ log_mu), (mu, log_mu, u, sigma_rot)
+
+
+def _gradient(spectrum):
+    """dF/drho from the spectrum returned by :func:`_objective`."""
+    mu, log_mu, u, sigma_rot = spectrum
     # Frechet derivative of the matrix log in the eigenbasis of rho
     delta = mu[:, None] - mu[None, :]
     same = np.abs(delta) < 1e-14 * mu.max()
     delta_safe = np.where(same, 1.0, delta)
     phi = np.where(same, 1.0 / mu[None, :], (log_mu[:, None] - log_mu[None, :]) / delta_safe)
-    gradient = -(u @ (sigma_rot * phi) @ u.conj().T)
-    return f, gradient
+    return -(u @ (sigma_rot * phi) @ u.conj().T)
 
 
 def _project_simplex(v):
@@ -235,33 +273,25 @@ def _normalize_rows(states):
     return states / norms
 
 
-def _density(w, a, b) -> np.ndarray:
-    """Mixture density of the optimizer's plain (w, a, b) arrays."""
-    return _mixture_density(w, _product_vectors(a, b))
-
-
 def _best_product_direction(gradient, dims, seeds, rng):
-    """Product pure state minimizing <a b|G|a b> by alternating eigensteps."""
+    """Product pure state minimizing <a b|G|a b> by alternating eigensteps.
+
+    The candidates (the party-B ``seeds`` and one random party-B state)
+    step together: each half-step is one stacked einsum and ``eigh``.
+    The first candidate wins ties.
+    """
     d_a, d_b = dims
     g4 = gradient.reshape(d_a, d_b, d_a, d_b)
-    best = None
-    candidates = list(seeds)
     z = rng.standard_normal(d_b) + 1j * rng.standard_normal(d_b)
-    candidates.append(z / np.linalg.norm(z))
-    for b in candidates:
-        b = np.asarray(b, dtype=complex)
-        a = None
-        for _ in range(4):
-            m_a = np.einsum("ijkl,j,l->ik", g4, b.conj(), b)
-            vals, vecs = np.linalg.eigh(m_a)
-            a = vecs[:, 0]
-            m_b = np.einsum("ijkl,i,k->jl", g4, a.conj(), a)
-            vals, vecs = np.linalg.eigh(m_b)
-            b = vecs[:, 0]
-        value = float(np.einsum("i,j,ijkl,k,l", a.conj(), b.conj(), g4, a, b).real)
-        if best is None or value < best[0]:
-            best = (value, a, b)
-    return best[1], best[2]
+    b = np.vstack([*seeds, z / np.linalg.norm(z)])
+    for _ in range(4):
+        m_a = np.einsum("ijkl,cj,cl->cik", g4, b.conj(), b)
+        a = np.linalg.eigh(m_a)[1][:, :, 0]
+        m_b = np.einsum("ijkl,ci,ck->cjl", g4, a.conj(), a)
+        b = np.linalg.eigh(m_b)[1][:, :, 0]
+    values = np.einsum("ci,cj,ijkl,ck,cl->c", a.conj(), b.conj(), g4, a, b).real
+    best = int(np.argmin(values))
+    return a[best], b[best]
 
 
 def _optimize_restart(sigma_mat, sigma_term, dims, w, a, b, rng):
@@ -270,11 +300,13 @@ def _optimize_restart(sigma_mat, sigma_term, dims, w, a, b, rng):
     The mixture is carried as plain arrays: weights ``w`` and the
     party-A and party-B local states ``a`` and ``b``, one row per term.
     """
-    f, gradient = _objective_and_gradient(sigma_mat, sigma_term, _density(w, a, b))
+    psi = _product_vectors(a, b)
+    f, spectrum = _objective(sigma_mat, sigma_term, _mixture_density(w, psi))
     if not math.isfinite(f):
         # infeasible start (sigma support not covered): reject the
         # restart; the marginal-product start is always feasible
         return math.inf, (w, a, b), [math.inf], 0, False
+    gradient = _gradient(spectrum)
     history = [f]
     step = 1.0
     stall = 0
@@ -282,7 +314,6 @@ def _optimize_restart(sigma_mat, sigma_term, dims, w, a, b, rng):
     d_a, d_b = dims
     for iteration in range(_MAX_ITERS):
         iterations = iteration + 1
-        psi = _product_vectors(a, b)
         g_psi = (psi @ gradient.T).reshape(-1, d_a, d_b)
         grad_w = np.einsum("ki,ij,kj->k", psi.conj(), gradient, psi).real
         grad_a = w[:, None] * np.einsum("kab,kb->ka", g_psi, b.conj())
@@ -293,37 +324,36 @@ def _optimize_restart(sigma_mat, sigma_term, dims, w, a, b, rng):
             w_t = _project_simplex(w - alpha * grad_w)
             a_t = _normalize_rows(a - alpha * grad_a)
             b_t = _normalize_rows(b - alpha * grad_b)
-            f_trial, _ = _objective_and_gradient(sigma_mat, sigma_term, _density(w_t, a_t, b_t), False)
+            psi_t = _product_vectors(a_t, b_t)
+            f_trial, spectrum = _objective(sigma_mat, sigma_term, _mixture_density(w_t, psi_t))
             if f_trial < f - 1e-14:
-                w, a, b, f = w_t, a_t, b_t, f_trial
+                w, a, b, psi, f = w_t, a_t, b_t, psi_t, f_trial
+                gradient = _gradient(spectrum)
+                history.append(f)
                 step = min(alpha * 1.5, 1e3)
                 improved = True
                 break
             alpha *= 0.5
-        if improved:
-            gradient = _objective_and_gradient(sigma_mat, sigma_term, _density(w, a, b))[1]
-            history.append(f)
         if not improved or iteration % _DIRECTION_EVERY == _DIRECTION_EVERY - 1:
             # direction search: mix in the best product state for the
             # current gradient, replacing the lightest term
             heaviest = int(np.argmax(w))
-            seeds = [b[heaviest]]
-            a_new, b_new = _best_product_direction(gradient, dims, seeds, rng)
+            a_new, b_new = _best_product_direction(gradient, dims, [b[heaviest]], rng)
             lightest = int(np.argmin(w))
+            a_t, b_t = a.copy(), b.copy()
+            a_t[lightest] = a_new
+            b_t[lightest] = b_new
+            psi_t = _product_vectors(a_t, b_t)
+            rest = w.copy()
+            rest[lightest] = 0.0
+            total = rest.sum()  # >= 1 - 1/K, as the lightest of K weights is dropped
             for gamma in (0.5, 0.2, 0.05, 0.01):
-                w_t, a_t, b_t = w.copy(), a.copy(), b.copy()
-                w_t[lightest] = 0.0
-                total = w_t.sum()
-                if total <= 0:
-                    continue
-                w_t *= (1.0 - gamma) / total
+                w_t = rest * ((1.0 - gamma) / total)
                 w_t[lightest] = gamma
-                a_t[lightest] = a_new
-                b_t[lightest] = b_new
-                f_trial, _ = _objective_and_gradient(sigma_mat, sigma_term, _density(w_t, a_t, b_t), False)
+                f_trial, spectrum = _objective(sigma_mat, sigma_term, _mixture_density(w_t, psi_t))
                 if f_trial < f - 1e-14:
-                    w, a, b, f = w_t, a_t, b_t, f_trial
-                    gradient = _objective_and_gradient(sigma_mat, sigma_term, _density(w, a, b))[1]
+                    w, a, b, psi, f = w_t, a_t, b_t, psi_t, f_trial
+                    gradient = _gradient(spectrum)
                     history.append(f)
                     improved = True
                     break
@@ -381,12 +411,70 @@ def relative_entropy_of_entanglement(
 ) -> EntanglementResult:
     """min over separable rho of S(sigma || rho), in nats.
 
-    Deterministic under a fixed config: the result is the best value
-    over the configured restart schedule.  The closest separable state
-    found is returned alongside optimizer diagnostics.
+    Pure inputs (top eigenvalue within 1e-12 of 1) return the entropy
+    of the Schmidt weights; PPT inputs in 2x2 and 2x3 (partial-transpose
+    spectrum >= -1e-12) return S(sigma || rho') for the nearest PPT
+    mixture rho' of sigma and white noise, which is exactly 0 when the
+    partial transpose is positive.  Both report no restarts and no
+    iterations.  Every other input runs the multi-start search, which
+    is deterministic under a fixed config: the result is the best value
+    over the configured restart schedule.  ``stop_reason`` names the
+    route, and the closest separable state is returned either way.
     """
     config = config or REEConfig()
     _require_bipartite(sigma.dims)
+    lam, vecs = np.linalg.eigh(sigma.matrix)
+    if lam[-1] > 1.0 - _PURE_TOL:
+        return _pure_closed_form(sigma, vecs[:, -1])
+    if sigma.dim <= _PPT_MAX_DIM:
+        d_a, d_b = sigma.dims
+        gamma = sigma.matrix.reshape(d_a, d_b, d_a, d_b).transpose(0, 3, 2, 1).reshape(sigma.dim, -1)
+        gamma_min = float(np.linalg.eigvalsh(gamma)[0])
+        if gamma_min >= -_PPT_TOL:
+            return _ppt_closed_form(sigma, gamma_min)
+    return _search(sigma, config)
+
+
+def _closed_form(value, closest, stop_reason) -> EntanglementResult:
+    return EntanglementResult(
+        value=float(value),
+        closest_state=closest,
+        iterations=0,
+        converged=True,
+        restarts_used=0,
+        stop_reason=stop_reason,
+    )
+
+
+def _pure_closed_form(sigma: DensityOperator, psi) -> EntanglementResult:
+    """S(sigma_A), attained at sum_i p_i |u_i v_i><u_i v_i| in the Schmidt basis of psi.
+
+    The weights p_i and vectors u_i diagonalize M M^dag for the
+    amplitude matrix M of psi; the partner v_i is the row u_i^dag M,
+    normalized.  Weights at or below the entropy cutoff are dropped,
+    as in the entropy itself.
+    """
+    m = psi.reshape(sigma.dims)
+    p, u = np.linalg.eigh(m @ m.conj().T)
+    kept = p > ENTROPY_EIGENVALUE_CUTOFF
+    p, u = p[kept] / p[kept].sum(), u[:, kept]
+    closest = SeparableAnsatz(p, (u.T, _normalize_rows(u.conj().T @ m)), sigma.dims).assemble()
+    return _closed_form(von_neumann_entropy(partial_trace(sigma, [0])), closest, "pure")
+
+
+def _ppt_closed_form(sigma: DensityOperator, gamma_min: float) -> EntanglementResult:
+    """sigma is separable, or (1 - q) sigma + q I/d is, for the smallest such q."""
+    if gamma_min >= 0.0:
+        return _closed_form(0.0, sigma, "ppt")
+    d = sigma.dim
+    q = -gamma_min * d / (1.0 - gamma_min * d)
+    closest = DensityOperator((1.0 - q) * sigma.matrix + q * np.eye(d) / d, sigma.dims)
+    return _closed_form(quantum_relative_entropy(sigma, closest), closest, "ppt")
+
+
+def _search(sigma: DensityOperator, config: REEConfig) -> EntanglementResult:
+    """Multi-start projected gradient search; the route for every input
+    without a closed form, and callable on its own to test the optimizer."""
     dims = sigma.dims
     n_terms = _n_terms(dims)
     lam = np.linalg.eigvalsh(sigma.matrix)
@@ -396,6 +484,7 @@ def relative_entropy_of_entanglement(
     best = None
     last_improvement = 0
     restarts_used = 0
+    stop_reason = "restarts"
     for restart in range(config.restarts):
         restarts_used = restart + 1
         rng = np.random.default_rng((config.seed, restart))
@@ -408,8 +497,10 @@ def relative_entropy_of_entanglement(
                 last_improvement = restart
             best = (f, mixture, history, iterations, converged)
         if best[0] < _STOP_VALUE:
+            stop_reason = "stop_value"
             break
         if restart - last_improvement >= _PATIENCE:
+            stop_reason = "patience"
             break
     f, (w, a, b), history, iterations, converged = best
     closest = SeparableAnsatz(w, (_normalize_rows(a), _normalize_rows(b)), dims).assemble()
@@ -422,6 +513,7 @@ def relative_entropy_of_entanglement(
         iterations=iterations,
         converged=converged,
         restarts_used=restarts_used,
+        stop_reason=stop_reason,
         objective_history=tuple(history),
     )
 

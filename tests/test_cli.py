@@ -286,6 +286,24 @@ class TestRee:
         result = runner.invoke(main, ["ree"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("restarts", ["0", "-3"])
+    def test_restarts_below_one_exits_2(self, runner, tmp_path, restarts):
+        state = tmp_path / "bell.json"
+        self.write_bell(state)
+        for args in ([str(state)], ["--axioms"]):
+            result = runner.invoke(main, ["ree", *args, "--restarts", restarts])
+            assert result.exit_code == 2, result.output
+            assert "--restarts" in result.output
+            assert "Traceback" not in result.output
+
+    def test_closed_form_reports_no_restarts(self, runner, tmp_path):
+        state = tmp_path / "bell.json"
+        self.write_bell(state)
+        data = json.loads(invoke(runner, "ree", str(state)).output)
+        assert data["restarts"] == 0
+        assert data["converged"] is True
+        assert sorted(data) == ["converged", "restarts", "value_bits", "value_nats"]
+
     def test_seed_env_fallback(self, runner, tmp_path, monkeypatch):
         state = tmp_path / "bell.json"
         self.write_bell(state)
