@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, catswap, feasibility
 from .core import DensityOperator
-from .entanglement import HarnessConfig, REEConfig, axiom_harness, relative_entropy_of_entanglement
+from .entanglement import HarnessConfig, axiom_harness, relative_entropy_of_entanglement
 from .jc import (
     CouplingModel,
     DecoherenceParams,
@@ -87,7 +87,7 @@ seed_option = click.option(
     default=0,
     envvar="QLIMITS_SEED",
     show_default=True,
-    help="Seed for randomized steps (QLIMITS_SEED is the fallback).",
+    help="Seed for the random cases of --axioms (QLIMITS_SEED is the fallback).",
 )
 
 
@@ -127,8 +127,8 @@ def cmd_jc(dist, model, gamma0, exponent_d, tmax, points, g_rad_s, oracle, out):
         params = DecoherenceParams(gamma0_tilde=gamma0, d=exponent_d, g=g_rad_s)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    if tmax <= 0 or points < 2:
-        raise click.UsageError("need tmax > 0 and at least 2 grid points")
+    if not (math.isfinite(tmax) and tmax > 0) or points < 2:
+        raise click.UsageError("need a finite tmax > 0 and at least 2 grid points")
     coupling = CouplingModel(model)
     grid = np.linspace(0.0, tmax, points)
     p_down = population_lower(grid, distribution, params, coupling)
@@ -225,7 +225,7 @@ def cmd_swap(scenario, verify, out):
         else:
             coll, spec = catswap.scenario_from_dict(data)
             outcomes = catswap.enumerate_outcomes(coll, spec)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
         raise InputError(f"bad scenario: {exc}") from exc
     if verify:
         _verify_or_die(coll, spec)
@@ -270,23 +270,20 @@ def _load_density(path) -> DensityOperator:
     raw = data["matrix"]
     try:
         mat = np.array([[complex(cell[0], cell[1]) for cell in row] for row in raw])
-    except (TypeError, IndexError) as exc:
-        raise ValueError(f"matrix entries must be [re, im] pairs: {exc}") from exc
+    except (TypeError, IndexError, KeyError) as exc:
+        raise ValueError(f"matrix entries must be [re, im] pairs: {exc!r}") from exc
     return DensityOperator(mat, tuple(int(d) for d in data["dims"]))
 
 
 @main.command("ree")
 @click.argument("state_file", type=click.Path(), required=False)
 @click.option("--axioms", is_flag=True, help="Run the E1-E6 axiom harness instead.")
-@click.option("--restarts", type=click.IntRange(min=1), default=16, show_default=True,
-              help="Optimizer restarts (pure and 2x2/2x3 PPT inputs need none).")
 @seed_option
 @click.option("--out", default="-", show_default=True, help="JSON destination.")
-def cmd_ree(state_file, axioms, restarts, seed, out):
+def cmd_ree(state_file, axioms, seed, out):
     """Relative entropy of entanglement of a density operator."""
     if axioms:
-        config = HarnessConfig(seed=seed, ree_config=REEConfig(restarts=restarts, seed=seed))
-        report = axiom_harness(config=config)
+        report = axiom_harness(config=HarnessConfig(seed=seed))
         _dump_json(report.to_json_dict(), out)
         if not report.passed:
             sys.exit(EXIT_VERIFY_MISMATCH)
@@ -295,10 +292,10 @@ def cmd_ree(state_file, axioms, restarts, seed, out):
         raise click.UsageError("provide a state file or --axioms")
     try:
         sigma = _load_density(state_file)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
         raise InputError(f"bad state file: {exc}") from exc
     try:
-        result = relative_entropy_of_entanglement(sigma, REEConfig(restarts=restarts, seed=seed))
+        result = relative_entropy_of_entanglement(sigma)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     _dump_json(

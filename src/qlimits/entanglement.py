@@ -15,17 +15,17 @@ Each solve goes to the cheapest exact route that applies:
 
 No closed form is known otherwise, so the minimum is searched
 numerically: separable states are parametrized as convex mixtures of K
-product pure states and optimized by projected gradient descent on the
-weights and local states, interleaved with best-product-direction
-steps, under a fixed multi-start seed schedule.  Because every iterate
-is separable, the returned value is always an upper bound on the true
-minimum; the feasible-point bound S(sigma || sigma_A (x) sigma_B) is
-used as one of the starting points, so the result can never exceed it.
+product pure states and optimized by one projected gradient descent on
+the weights and local states, interleaved with best-product-direction
+steps.  The descent starts from sigma dephased in the eigenbases of its
+marginals, a separable state no farther from sigma than the product of
+its marginals, so the result never exceeds the feasible-point bound
+S(sigma || sigma_A (x) sigma_B).  Because every iterate is separable,
+the returned value is always an upper bound on the true minimum.
 
-Restarts are independent and the reported value is the minimum over
-the fixed seed set, so results are reproducible.  Only bipartite
-inputs up to total dimension 16 are supported; the multipartite
-minimization is out of scope.
+The descent draws its random terms from a fixed internal seed, so
+results are reproducible.  Only bipartite inputs up to total dimension
+16 are supported; the multipartite minimization is out of scope.
 
 The classical correlations need no search: the distance from sigma to
 the closest product state is attained exactly at the product of its
@@ -34,7 +34,7 @@ marginals, where it equals the mutual information.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,7 +49,6 @@ from .core import (
 )
 
 __all__ = [
-    "REEConfig",
     "SeparableAnsatz",
     "EntanglementResult",
     "ClassicalCorrelationsResult",
@@ -76,14 +75,11 @@ __all__ = [
 LN2 = math.log(2.0)
 MAX_TOTAL_DIM = 16
 
-# Optimizer schedule, part of the deterministic contract: iterations per
-# restart, the per-step gain that resets the stall counter, restarts
-# without improvement before giving up, the value below which the search
-# stops, and the spacing of best-product-direction steps.
-_MAX_ITERS = 300
+# Optimizer schedule, part of the deterministic contract: the iteration
+# cap of the descent, the per-step gain that resets the stall counter,
+# and the spacing of best-product-direction steps.
+_MAX_ITERS = 3000
 _TOL = 1e-8
-_PATIENCE = 5
-_STOP_VALUE = 1e-6
 _DIRECTION_EVERY = 4
 
 # Closed-form routes: a spectrum within _PURE_TOL of 1 counts as pure, a
@@ -97,27 +93,6 @@ _PPT_MAX_DIM = 6
 def _n_terms(dims) -> int:
     """Number of product terms in the separable ansatz."""
     return max(8, int(np.prod(dims)) + 4)
-
-
-@dataclass(frozen=True)
-class REEConfig:
-    """Restart count and seed of the multi-start search.
-
-    ``restarts`` must be at least 1; pure and 2x2/2x3 PPT inputs are
-    answered in closed form and use none.  Restarts stop early once the
-    best value drops below 1e-6 or after 5 restarts without
-    improvement; the schedule is part of the deterministic contract.
-    Early stopping below 1e-6 costs at most that much tightness (the
-    optimizer only ever returns upper bounds), well under the 1e-3
-    reporting target.
-    """
-
-    restarts: int = 16
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts!r}")
 
 
 def _product_vectors(a, b) -> np.ndarray:
@@ -180,10 +155,10 @@ class EntanglementResult:
     """Measure value in nats plus optimizer diagnostics.
 
     ``stop_reason`` names the route that produced the value: ``"pure"``
-    or ``"ppt"`` for the closed forms (no restarts, no iterations), or
-    how the search ended: ``"stop_value"`` (value below 1e-6),
-    ``"patience"`` (5 restarts without improvement) or ``"restarts"``
-    (the configured restarts ran out).
+    or ``"ppt"`` for the closed forms (``restarts_used`` 0, no
+    iterations), or how the search's one descent (``restarts_used`` 1)
+    ended: ``"stall"`` (three iterations in a row gained at most 1e-8,
+    ``converged`` true) or ``"max_iters"`` (the 3000-iteration cap).
     """
 
     value: float
@@ -302,10 +277,6 @@ def _optimize_restart(sigma_mat, sigma_term, dims, w, a, b, rng):
     """
     psi = _product_vectors(a, b)
     f, spectrum = _objective(sigma_mat, sigma_term, _mixture_density(w, psi))
-    if not math.isfinite(f):
-        # infeasible start (sigma support not covered): reject the
-        # restart; the marginal-product start is always feasible
-        return math.inf, (w, a, b), [math.inf], 0, False
     gradient = _gradient(spectrum)
     history = [f]
     step = 1.0
@@ -336,7 +307,9 @@ def _optimize_restart(sigma_mat, sigma_term, dims, w, a, b, rng):
             alpha *= 0.5
         if not improved or iteration % _DIRECTION_EVERY == _DIRECTION_EVERY - 1:
             # direction search: mix in the best product state for the
-            # current gradient, replacing the lightest term
+            # current gradient, replacing the lightest term; near a
+            # rank-deficient input the best mixing weight is about 1e-3,
+            # so the ladder reaches down to 1e-4
             heaviest = int(np.argmax(w))
             a_new, b_new = _best_product_direction(gradient, dims, [b[heaviest]], rng)
             lightest = int(np.argmin(w))
@@ -347,7 +320,7 @@ def _optimize_restart(sigma_mat, sigma_term, dims, w, a, b, rng):
             rest = w.copy()
             rest[lightest] = 0.0
             total = rest.sum()  # >= 1 - 1/K, as the lightest of K weights is dropped
-            for gamma in (0.5, 0.2, 0.05, 0.01):
+            for gamma in (0.5, 0.2, 0.05, 0.01, 2e-3, 5e-4, 1e-4):
                 w_t = rest * ((1.0 - gamma) / total)
                 w_t[lightest] = gamma
                 f_trial, spectrum = _objective(sigma_mat, sigma_term, _mixture_density(w_t, psi_t))
@@ -366,49 +339,30 @@ def _optimize_restart(sigma_mat, sigma_term, dims, w, a, b, rng):
     return f, (w, a, b), history, iterations, False
 
 
-def _marginal_bases(sigma: DensityOperator):
-    s_a = partial_trace(sigma, [0])
-    s_b = partial_trace(sigma, [1])
-    p, u = np.linalg.eigh(s_a.matrix)
-    q, v = np.linalg.eigh(s_b.matrix)
-    return np.clip(p, 0.0, None), u, np.clip(q, 0.0, None), v
+def _initial_state(sigma, rng):
+    """sigma dephased in the eigenbases of its marginals, as a mixture (w, a, b).
+
+    The kets u_i (x) v_j carry the weights <u_i v_j|sigma|u_i v_j>; random
+    product terms of weight 0 pad the mixture to ``_n_terms``.  The
+    dephased state is diagonal in the same basis as sigma_A (x) sigma_B,
+    so S(sigma || sigma_A (x) sigma_B) = S(sigma || start) + S(start ||
+    sigma_A (x) sigma_B), and it covers the support of sigma.
+    """
+    d_a, d_b = sigma.dims
+    u = np.linalg.eigh(partial_trace(sigma, [0]).matrix)[1]
+    v = np.linalg.eigh(partial_trace(sigma, [1]).matrix)[1]
+    a = np.repeat(u.T, d_b, axis=0)
+    b = np.tile(v.T, (d_a, 1))
+    kets = _product_vectors(a, b)
+    weights = np.clip(np.einsum("ki,ij,kj->k", kets.conj(), sigma.matrix, kets).real, 0.0, None)
+    n_pad = _n_terms(sigma.dims) - d_a * d_b
+    a = np.vstack([a, _random_local_rows(rng, n_pad, d_a)])
+    b = np.vstack([b, _random_local_rows(rng, n_pad, d_b)])
+    weights = np.concatenate([weights / weights.sum(), np.zeros(n_pad)])
+    return weights, a, b
 
 
-def _initial_state(sigma, dims, n_terms, restart, rng):
-    """Starting mixture (w, a, b) of one restart."""
-    d_a, d_b = dims
-    if restart in (0, 1):
-        p, u, q, v = _marginal_bases(sigma)
-        local_a = []
-        local_b = []
-        weights = []
-        for i in range(d_a):
-            for j in range(d_b):
-                local_a.append(u[:, i])
-                local_b.append(v[:, j])
-                if restart == 0:
-                    weights.append(p[i] * q[j])  # product of the marginals
-                else:
-                    ket = np.kron(u[:, i], v[:, j])  # sigma dephased in the marginal bases
-                    weights.append(float((ket.conj() @ sigma.matrix @ ket).real))
-        while len(weights) < n_terms:
-            z_a = rng.standard_normal(d_a) + 1j * rng.standard_normal(d_a)
-            z_b = rng.standard_normal(d_b) + 1j * rng.standard_normal(d_b)
-            local_a.append(z_a / np.linalg.norm(z_a))
-            local_b.append(z_b / np.linalg.norm(z_b))
-            weights.append(0.0)
-        weights = np.clip(np.asarray(weights[:n_terms]), 0.0, None)
-        weights = weights / weights.sum()
-        return weights, np.asarray(local_a[:n_terms]), np.asarray(local_b[:n_terms])
-    local_a = rng.standard_normal((n_terms, d_a)) + 1j * rng.standard_normal((n_terms, d_a))
-    local_b = rng.standard_normal((n_terms, d_b)) + 1j * rng.standard_normal((n_terms, d_b))
-    weights = rng.dirichlet(np.ones(n_terms))
-    return weights, _normalize_rows(local_a), _normalize_rows(local_b)
-
-
-def relative_entropy_of_entanglement(
-    sigma: DensityOperator, config: REEConfig | None = None
-) -> EntanglementResult:
+def relative_entropy_of_entanglement(sigma: DensityOperator) -> EntanglementResult:
     """min over separable rho of S(sigma || rho), in nats.
 
     Pure inputs (top eigenvalue within 1e-12 of 1) return the entropy
@@ -416,12 +370,10 @@ def relative_entropy_of_entanglement(
     spectrum >= -1e-12) return S(sigma || rho') for the nearest PPT
     mixture rho' of sigma and white noise, which is exactly 0 when the
     partial transpose is positive.  Both report no restarts and no
-    iterations.  Every other input runs the multi-start search, which
-    is deterministic under a fixed config: the result is the best value
-    over the configured restart schedule.  ``stop_reason`` names the
-    route, and the closest separable state is returned either way.
+    iterations.  Every other input runs one deterministic descent.
+    ``stop_reason`` names the route, and the closest separable state is
+    returned either way.
     """
-    config = config or REEConfig()
     _require_bipartite(sigma.dims)
     lam, vecs = np.linalg.eigh(sigma.matrix)
     if lam[-1] > 1.0 - _PURE_TOL:
@@ -432,7 +384,7 @@ def relative_entropy_of_entanglement(
         gamma_min = float(np.linalg.eigvalsh(gamma)[0])
         if gamma_min >= -_PPT_TOL:
             return _ppt_closed_form(sigma, gamma_min)
-    return _search(sigma, config)
+    return _search(sigma)
 
 
 def _closed_form(value, closest, stop_reason) -> EntanglementResult:
@@ -472,37 +424,19 @@ def _ppt_closed_form(sigma: DensityOperator, gamma_min: float) -> EntanglementRe
     return _closed_form(quantum_relative_entropy(sigma, closest), closest, "ppt")
 
 
-def _search(sigma: DensityOperator, config: REEConfig) -> EntanglementResult:
-    """Multi-start projected gradient search; the route for every input
-    without a closed form, and callable on its own to test the optimizer."""
+def _search(sigma: DensityOperator) -> EntanglementResult:
+    """One projected gradient descent from the marginal-basis dephased
+    state; the route for every input without a closed form, and callable
+    on its own to test the optimizer."""
     dims = sigma.dims
-    n_terms = _n_terms(dims)
     lam = np.linalg.eigvalsh(sigma.matrix)
     lam = lam[lam > 1e-12]
     sigma_term = float((lam * np.log(lam)).sum())
-
-    best = None
-    last_improvement = 0
-    restarts_used = 0
-    stop_reason = "restarts"
-    for restart in range(config.restarts):
-        restarts_used = restart + 1
-        rng = np.random.default_rng((config.seed, restart))
-        w, a, b = _initial_state(sigma, dims, n_terms, restart, rng)
-        f, mixture, history, iterations, converged = _optimize_restart(
-            sigma.matrix, sigma_term, dims, w, a, b, rng
-        )
-        if best is None or f < best[0]:
-            if best is not None and f < best[0] - 1e-6:
-                last_improvement = restart
-            best = (f, mixture, history, iterations, converged)
-        if best[0] < _STOP_VALUE:
-            stop_reason = "stop_value"
-            break
-        if restart - last_improvement >= _PATIENCE:
-            stop_reason = "patience"
-            break
-    f, (w, a, b), history, iterations, converged = best
+    rng = np.random.default_rng(0)  # padding terms and direction candidates
+    w, a, b = _initial_state(sigma, rng)
+    f, (w, a, b), history, iterations, converged = _optimize_restart(
+        sigma.matrix, sigma_term, dims, w, a, b, rng
+    )
     closest = SeparableAnsatz(w, (_normalize_rows(a), _normalize_rows(b)), dims).assemble()
     value = quantum_relative_entropy(sigma, closest)
     if not math.isfinite(value):
@@ -512,8 +446,8 @@ def _search(sigma: DensityOperator, config: REEConfig) -> EntanglementResult:
         closest_state=closest,
         iterations=iterations,
         converged=converged,
-        restarts_used=restarts_used,
-        stop_reason=stop_reason,
+        restarts_used=1,
+        stop_reason="stall" if converged else "max_iters",
         objective_history=tuple(history),
     )
 
@@ -549,8 +483,7 @@ def classical_correlations(sigma: DensityOperator) -> ClassicalCorrelationsResul
     return ClassicalCorrelationsResult(value=value, mutual_information=float(mutual_information))
 
 
-def distillation_bound(n_pairs: int, sigma: DensityOperator, *, entanglement: float | None = None,
-                       config: REEConfig | None = None) -> int:
+def distillation_bound(n_pairs: int, sigma: DensityOperator, *, entanglement: float | None = None) -> int:
     """Largest M with N E(sigma) >= M ln 2: floor(N E / ln 2).
 
     A 1e-9 epsilon absorbs optimizer rounding just below integer
@@ -559,7 +492,7 @@ def distillation_bound(n_pairs: int, sigma: DensityOperator, *, entanglement: fl
     if n_pairs < 0:
         raise ValueError("pair count must be >= 0")
     if entanglement is None:
-        entanglement = relative_entropy_of_entanglement(sigma, config).value
+        entanglement = relative_entropy_of_entanglement(sigma).value
     return int(math.floor(n_pairs * entanglement / LN2 + 1e-9))
 
 
@@ -684,14 +617,10 @@ class HarnessConfig:
     continuity_factor: float = 10.0
     include_additivity: bool = True
     additivity_tol: float = 2e-2
-    ree_config: REEConfig = field(default_factory=REEConfig)
 
 
-def _default_measure(config: HarnessConfig):
-    def measure(sigma: DensityOperator) -> float:
-        return relative_entropy_of_entanglement(sigma, config.ree_config).value
-
-    return measure
+def _default_measure(sigma: DensityOperator) -> float:
+    return relative_entropy_of_entanglement(sigma).value
 
 
 def bell_state(dims=(2, 2)) -> DensityOperator:
@@ -811,8 +740,7 @@ def check_additivity_pair(measure, sigma1: DensityOperator, sigma2: DensityOpera
 def axiom_harness(measure=None, config: HarnessConfig | None = None) -> AxiomReport:
     """Run the E1-E6 suite for a measure callable; always returns a report."""
     config = config or HarnessConfig()
-    if measure is None:
-        measure = _default_measure(config)
+    measure = measure or _default_measure
     checks = [
         check_separable_zero(measure, n_cases=config.n_separable, seed=config.seed, tol=config.tol),
         check_local_unitary_invariance(
@@ -831,14 +759,7 @@ def axiom_harness(measure=None, config: HarnessConfig | None = None) -> AxiomRep
         check_pure_state_reduction(measure, n_cases=config.n_pure, seed=config.seed + 4, tol=config.tol),
     ]
     if config.include_additivity:
-        pair_config = replace(config.ree_config, restarts=max(4, config.ree_config.restarts // 4))
-
-        def pair_measure(sigma):
-            if int(np.prod(sigma.dims)) > 4:
-                return relative_entropy_of_entanglement(sigma, pair_config).value
-            return measure(sigma)
-
         checks.append(
-            check_additivity_pair(pair_measure, bell_state(), bell_state(), tol=config.additivity_tol)
+            check_additivity_pair(measure, bell_state(), bell_state(), tol=config.additivity_tol)
         )
     return AxiomReport(tuple(checks))

@@ -469,6 +469,9 @@ def feasibility_report(
     L_values = [int(L) for L in L_values]
     if not L_values or any(L < 1 for L in L_values):
         raise ValueError("need at least one L >= 1")
+    for name, value in (("epsilon", epsilon), ("eta", eta), ("ratio", ratio), ("n_ops", n_ops)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     ions = tuple(ions)
     rows = []
     for L in L_values:

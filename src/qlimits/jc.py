@@ -99,8 +99,10 @@ class DecoherenceParams:
     temperature: float | None = None
 
     def __post_init__(self):
-        if self.gamma0_tilde < 0:
-            raise ValueError("gamma0_tilde must be >= 0")
+        if not (math.isfinite(self.gamma0_tilde) and self.gamma0_tilde >= 0):
+            raise ValueError("gamma0_tilde must be finite and >= 0")
+        if not math.isfinite(self.d):
+            raise ValueError("d must be finite")
         if self.g is not None and self.g <= 0:
             raise ValueError("g must be > 0 when supplied")
         if self.temperature is not None and self.temperature <= 0:

@@ -115,6 +115,18 @@ class TestJc:
         result = runner.invoke(main, ["jc", "--tmax", "-1"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("tmax", ["inf", "nan"])
+    def test_nonfinite_tmax_exits_2(self, runner, tmax):
+        result = runner.invoke(main, ["jc", "--tmax", tmax])
+        assert result.exit_code == 2
+        assert "finite tmax" in result.output
+
+    @pytest.mark.parametrize("args", [["--gamma0", "nan"], ["--gamma0", "inf"], ["--d", "nan"]])
+    def test_nonfinite_parameters_exit_3(self, runner, args):
+        result = runner.invoke(main, ["jc", *args, "--points", "3"])
+        assert result.exit_code == 3, result.output
+        assert "finite" in result.output
+
     def test_unwritable_output_exits_3(self, runner, tmp_path):
         missing_dir = tmp_path / "nope" / "curve.csv"
         result = runner.invoke(main, ["jc", "--tmax", "1", "--points", "3", "--out", str(missing_dir)])
@@ -167,6 +179,20 @@ class TestBudget:
         assert result.exit_code == 0
         assert "testium" in result.output
 
+    @pytest.mark.parametrize("args", [
+        ["--eta", "0"], ["--ratio", "0"], ["--epsilon", "0"], ["--N", "0"],
+        ["--eta", "-1"], ["--ratio", "nan"], ["--epsilon", "inf"], ["--N", "-5"],
+    ])
+    def test_nonpositive_or_nonfinite_exits_3(self, runner, tmp_path, args):
+        ions = tmp_path / "ions.json"
+        ions.write_text(json.dumps([{
+            "name": "testium", "Gamma22": 1e8, "Gamma33": 1e7, "Delta2": 1e15,
+            "Delta13": 1e15, "omega12": 2e15, "omega13": 4e15, "beta": 1.0,
+        }]))
+        result = runner.invoke(main, ["budget", "--L", "4", "--ions", str(ions), *args])
+        assert result.exit_code == 3, result.output
+        assert "finite and > 0" in result.output
+
     def test_bad_ion_config_exits_3(self, runner, tmp_path):
         ions = tmp_path / "ions.json"
         ions.write_text(json.dumps([{"name": "x"}]))
@@ -216,6 +242,18 @@ class TestSwap:
         )
         result = runner.invoke(main, ["swap", str(scenario), "--verify"])
         assert result.exit_code == 4
+
+    @pytest.mark.parametrize("content", [
+        {"cats": [{"particles": [1, 2], "bits": [0, 0], "sign": "+"}], "measure": 5},
+        {"users": 5, "request": ["A"]},
+        {"users": ["A", "B"], "request": 5},
+    ])
+    def test_wrong_shape_exits_3(self, runner, tmp_path, content):
+        scenario = tmp_path / "bad.json"
+        scenario.write_text(json.dumps(content))
+        result = runner.invoke(main, ["swap", str(scenario)])
+        assert result.exit_code == 3, result.output
+        assert "bad scenario" in result.output
 
     def test_verify_above_dense_limit_exits_3(self, runner, tmp_path):
         scenario = tmp_path / "big.json"
@@ -286,16 +324,6 @@ class TestRee:
         result = runner.invoke(main, ["ree"])
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("restarts", ["0", "-3"])
-    def test_restarts_below_one_exits_2(self, runner, tmp_path, restarts):
-        state = tmp_path / "bell.json"
-        self.write_bell(state)
-        for args in ([str(state)], ["--axioms"]):
-            result = runner.invoke(main, ["ree", *args, "--restarts", restarts])
-            assert result.exit_code == 2, result.output
-            assert "--restarts" in result.output
-            assert "Traceback" not in result.output
-
     def test_closed_form_reports_no_restarts(self, runner, tmp_path):
         state = tmp_path / "bell.json"
         self.write_bell(state)
@@ -305,12 +333,34 @@ class TestRee:
         assert sorted(data) == ["converged", "restarts", "value_bits", "value_nats"]
 
     def test_seed_env_fallback(self, runner, tmp_path, monkeypatch):
-        state = tmp_path / "bell.json"
-        self.write_bell(state)
+        # an NPT Werner state (p = 0.8) has no closed form, so both runs
+        # search; the seed only drives --axioms and must not move a solve
+        state = tmp_path / "werner.json"
+        matrix = 0.8 * np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2 + 0.2 * np.eye(4) / 4
+        state.write_text(json.dumps({"matrix": [[[x, 0.0] for x in row] for row in matrix.tolist()],
+                                     "dims": [2, 2]}))
+        a = invoke(runner, "ree", str(state)).output
         monkeypatch.setenv("QLIMITS_SEED", "7")
-        a = invoke(runner, "ree", str(state), "--restarts", "3").output
-        b = invoke(runner, "ree", str(state), "--restarts", "3").output
+        b = invoke(runner, "ree", str(state)).output
         assert a == b
+        data = json.loads(a)
+        assert data["restarts"] == 1
+        assert data["value_nats"] == pytest.approx(
+            math.log(2) + 0.85 * math.log(0.85) + 0.15 * math.log(0.15), abs=2e-5
+        )
+
+    @pytest.mark.parametrize("content", [
+        {"matrix": [[[1.0, 0.0]]], "dims": 1},
+        {"matrix": [[[1.0, 0.0]]], "dims": None},
+        {"matrix": [[{"re": 1.0, "im": 0.0}]], "dims": [1, 1]},
+        {"matrix": [[[1.0, 0.0]]], "dims": [[1], [1]]},
+    ])
+    def test_wrong_shape_exits_3(self, runner, tmp_path, content):
+        state = tmp_path / "bad.json"
+        state.write_text(json.dumps(content))
+        result = runner.invoke(main, ["ree", str(state)])
+        assert result.exit_code == 3, result.output
+        assert "bad state file" in result.output
 
     def test_axiom_report(self, runner, tmp_path, monkeypatch):
         # a fast harness pass through the CLI would still take minutes;
@@ -331,13 +381,16 @@ class TestRee:
                 n_pure=2,
                 n_perturbations=1,
                 include_additivity=False,
-                ree_config=config.ree_config,
             )
             return original(measure, small)
 
         monkeypatch.setattr(cli_module, "axiom_harness", tiny_harness)
-        result = invoke(runner, "ree", "--axioms", "--seed", "3", "--restarts", "6")
+        result = invoke(runner, "ree", "--axioms", "--seed", "3")
         assert result.exit_code == 0
         data = json.loads(result.output)
         assert data["passed"] is True
         assert captured["seed"] == 3
+        # QLIMITS_SEED is the fallback for --seed
+        monkeypatch.setenv("QLIMITS_SEED", "7")
+        assert invoke(runner, "ree", "--axioms").exit_code == 0
+        assert captured["seed"] == 7

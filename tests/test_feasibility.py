@@ -358,3 +358,9 @@ class TestFeasibilityReport:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             feasibility_report([])
+
+    @pytest.mark.parametrize("name", ["epsilon", "eta", "ratio", "n_ops"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_nonpositive_or_nonfinite(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            feasibility_report([4], ions=[synthetic_ion()], **{name: value})

@@ -149,6 +149,16 @@ class TestMeanReservoirOccupation:
             mean_reservoir_occupation(0, DecoherenceParams(0.1, 0.4, g=1e5))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("gamma0_tilde", math.nan), ("gamma0_tilde", math.inf), ("gamma0_tilde", -0.1),
+    ("d", math.nan), ("d", math.inf), ("d", -math.inf),
+])
+def test_decoherence_params_reject_bad_values(field, value):
+    kwargs = {"gamma0_tilde": 0.127, "d": 0.4, field: value}
+    with pytest.raises(ValueError, match=field):
+        DecoherenceParams(**kwargs)
+
+
 class TestNormalizedRates:
     def test_n0_is_gamma0_exactly(self):
         p = DecoherenceParams(0.127, 0.4)
