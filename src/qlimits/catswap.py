@@ -51,9 +51,12 @@ __all__ = [
     "scenario_from_dict",
     "outcomes_to_jsonable",
     "BRUTE_FORCE_LIMIT",
+    "MAX_OUTCOMES",
 ]
 
 BRUTE_FORCE_LIMIT = 14
+# Outcome lists longer than this are refused before they are enumerated.
+MAX_OUTCOMES = 2**16
 
 
 def _norm_sign(sign) -> int:
@@ -103,9 +106,6 @@ class CatState:
     @property
     def n_particles(self) -> int:
         return len(self.particles)
-
-    def bit_of(self, particle: int) -> int:
-        return self.bits[self.particles.index(particle)]
 
     def sign_char(self) -> str:
         return "+" if self.sign > 0 else "-"
@@ -225,27 +225,48 @@ def polygon_counts(coll: CatCollection, spec: MeasurementSpec) -> tuple[int, int
     return p, touched_total - p
 
 
-def _outcome_for_branches(touched, sel_order, rest_order, branches, basis_sign, sign_product):
-    """Build (basis, probability, residual) for one branch assignment."""
-    v_bits = {}
-    w_bits = {}
-    for (cat, sel, rest), flip in zip(touched, branches):
-        for p in sel:
-            v_bits[p] = cat.bit_of(p) ^ flip
-        for p in rest:
-            w_bits[p] = cat.bit_of(p) ^ flip
-    basis = CatState(sel_order, tuple(v_bits[p] for p in sel_order), basis_sign)
+def _canonical_cat(particles: tuple[int, ...], bits: tuple[int, ...], sign: int) -> CatState:
+    """Trusted constructor for cats built from already-validated ones.
+
+    ``particles`` must be sorted and distinct, ``bits`` 0/1 ints and
+    ``sign`` +1/-1, so only the complement that puts bit 0 on the lowest
+    particle is applied.  Public construction goes through
+    :class:`CatState`, which validates.
+    """
+    if bits[0]:
+        bits = tuple(1 - b for b in bits)
+    cat = object.__new__(CatState)
+    object.__setattr__(cat, "particles", particles)
+    object.__setattr__(cat, "bits", bits)
+    object.__setattr__(cat, "sign", sign)
+    return cat
+
+
+def _branch_outcomes(touched, sel_order, rest_order, branches, signs, sign_product):
+    """The outcomes of one branch assignment, one per basis sign in ``signs``."""
+    bit = {}
+    for (cat, _, _), flip in zip(touched, branches):
+        for p, b in zip(cat.particles, cat.bits):
+            bit[p] = b ^ flip
+    v = tuple(map(bit.__getitem__, sel_order))
     n_touched = len(touched)
     if rest_order:
-        residual = CatState(
-            rest_order, tuple(w_bits[p] for p in rest_order), basis_sign * sign_product
-        )
-        return SwapOutcome(basis, 0.5**n_touched, residual)
+        w = tuple(map(bit.__getitem__, rest_order))
+        return [
+            SwapOutcome(
+                _canonical_cat(sel_order, v, s),
+                0.5**n_touched,
+                _canonical_cat(rest_order, w, s * sign_product),
+            )
+            for s in signs
+        ]
     # all touched cats fully consumed: the two expansion branches
     # interfere, leaving only the sign that matches the collection
-    if basis_sign != sign_product:
-        return None
-    return SwapOutcome(basis, 0.5 ** (n_touched - 1), None)
+    return [
+        SwapOutcome(_canonical_cat(sel_order, v, s), 0.5 ** (n_touched - 1), None)
+        for s in signs
+        if s == sign_product
+    ]
 
 
 def enumerate_outcomes(coll: CatCollection, spec: MeasurementSpec) -> list[SwapOutcome]:
@@ -253,22 +274,25 @@ def enumerate_outcomes(coll: CatCollection, spec: MeasurementSpec) -> list[SwapO
 
     Each outcome's residual is one cat state over all unmeasured
     particles of the touched sets; untouched sets are unaffected (see
-    :func:`untouched_cats`).  Probabilities sum to 1.
+    :func:`untouched_cats`).  Probabilities sum to 1.  Raises
+    ValueError, before enumerating, when there would be more than
+    ``MAX_OUTCOMES`` outcomes.
     """
     touched, _ = _split_by_measurement(coll, spec)
     sel_order = tuple(sorted(spec.selected))
     rest_order = tuple(sorted(p for _, _, rest in touched for p in rest))
+    # 2 signs per branch assignment, halved when the touched cats are consumed
+    count = 2 ** (len(touched) if rest_order else len(touched) - 1)
+    if count > MAX_OUTCOMES:
+        raise ValueError(f"{count} outcomes exceed the limit MAX_OUTCOMES = {MAX_OUTCOMES}")
     sign_product = math.prod(cat.sign for cat, _, _ in touched)
     outcomes = []
     # the complement branch assignment repeats the canonical basis, so
     # the first touched cat's branch is fixed to 0
     for tail in itertools.product((0, 1), repeat=len(touched) - 1):
-        for basis_sign in (+1, -1):
-            outcome = _outcome_for_branches(
-                touched, sel_order, rest_order, (0, *tail), basis_sign, sign_product
-            )
-            if outcome is not None:
-                outcomes.append(outcome)
+        outcomes += _branch_outcomes(
+            touched, sel_order, rest_order, (0, *tail), (+1, -1), sign_product
+        )
     return sorted(outcomes, key=lambda o: (o.basis.bits, 0 if o.basis.sign > 0 else 1))
 
 
@@ -283,21 +307,19 @@ def project_outcome(coll: CatCollection, spec: MeasurementSpec, basis: CatState)
         raise ValueError(
             f"basis lives on particles {basis.particles}, measurement selects {sel_order}"
         )
+    basis_bit = dict(zip(basis.particles, basis.bits))
     branches = []
-    for cat, sel, _ in touched:
-        pattern = tuple(basis.bit_of(p) for p in sel)
-        straight = tuple(cat.bit_of(p) for p in sel)
-        if pattern == straight:
-            branches.append(0)
-        elif pattern == tuple(1 - b for b in straight):
-            branches.append(1)
-        else:
+    for cat, _, _ in touched:
+        flips = {basis_bit[p] ^ b for p, b in zip(cat.particles, cat.bits) if p in basis_bit}
+        if len(flips) != 1:
             return None
+        branches.append(flips.pop())
     rest_order = tuple(sorted(p for _, _, rest in touched for p in rest))
     sign_product = math.prod(cat.sign for cat, _, _ in touched)
-    return _outcome_for_branches(
-        touched, sel_order, rest_order, tuple(branches), basis.sign, sign_product
+    outcome = _branch_outcomes(
+        touched, sel_order, rest_order, branches, (basis.sign,), sign_product
     )
+    return outcome[0] if outcome else None
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,8 @@ from .jc import (
 
 EXIT_INPUT_ERROR = 3
 EXIT_VERIFY_MISMATCH = 4
+# Largest jc time grid; a larger one is a usage error.
+MAX_POINTS = 1_000_000
 
 
 class InputError(click.ClickException):
@@ -42,14 +44,10 @@ class InputError(click.ClickException):
     exit_code = EXIT_INPUT_ERROR
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
-
-
 def _round12(obj):
     """Clamp floats to 12 significant digits for stable JSON output."""
     if isinstance(obj, float):
-        return float(_fmt(obj)) if math.isfinite(obj) else obj
+        return float(format(obj, ".12g")) if math.isfinite(obj) else obj
     if isinstance(obj, dict):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -79,6 +77,86 @@ def _write_output(text: str, out: str | None):
 
 def _dump_json(data, out):
     _write_output(json.dumps(_round12(data), indent=2, sort_keys=True) + "\n", out)
+
+
+# One element of an "outcomes" list as json.dumps(indent=2, sort_keys=True)
+# writes it at nesting depth 2; the residual cat sits at depth 3.
+_OUTCOME_JSON = """\
+    {
+      "basis_bits": [
+        %s
+      ],
+      "basis_sign": "%s",
+      "probability": %s,
+      "residual": %s
+    }"""
+_RESIDUAL_JSON = """\
+{
+        "bits": [
+          %s
+        ],
+        "particles": [
+          %s
+        ],
+        "sign": "%s"
+      }"""
+
+
+class _IntLists(dict):
+    """Maps a tuple of ints to its items as json.dumps(indent=2) writes them
+    ``indent`` spaces deep.  Outcomes share bit and particle tuples, so each
+    is joined once."""
+
+    def __init__(self, indent: int):
+        super().__init__()
+        self.separator = ",\n" + " " * indent
+
+    def __missing__(self, values):
+        text = self[values] = self.separator.join(map(str, values))
+        return text
+
+
+def _dump_outcomes_json(blob, outcomes, out):
+    """Write ``blob`` with its "outcomes" entry replaced by ``outcomes``.
+
+    The text is byte for byte what :func:`_dump_json` writes for the
+    document that :func:`catswap.outcomes_to_jsonable` builds, but the
+    outcome list is filled into a fixed template instead of going
+    through the pure-Python indenting encoder.  Cats are never empty, so
+    no list in the template is.
+    """
+    probability = {p: json.dumps(_round12(p)) for p in {o.probability for o in outcomes}}
+    basis_ints, residual_ints = _IntLists(8), _IntLists(10)
+    # one list of pieces, joined once, so the document is copied only once
+    doc = ["{"]
+    for key in sorted(blob):
+        doc.append(f"\n  {json.dumps(key)}: ")
+        if key != "outcomes":
+            doc.append(json.dumps(_round12(blob[key]), indent=2, sort_keys=True).replace("\n", "\n  "))
+        elif not outcomes:
+            doc.append("[]")
+        else:
+            separator = "[\n"
+            for o in outcomes:
+                residual = o.residual
+                if residual is not None:
+                    residual = _RESIDUAL_JSON % (
+                        residual_ints[residual.bits],
+                        residual_ints[residual.particles],
+                        residual.sign_char(),
+                    )
+                doc.append(separator)
+                doc.append(_OUTCOME_JSON % (
+                    basis_ints[o.basis.bits],
+                    o.basis.sign_char(),
+                    probability[o.probability],
+                    "null" if residual is None else residual,
+                ))
+                separator = ",\n"
+            doc.append("\n  ]")
+        doc.append(",")
+    doc[-1] = "\n}\n"
+    _write_output("".join(doc), out)
 
 
 seed_option = click.option(
@@ -114,7 +192,8 @@ def main():
               help="Reservoir spectral exponent.")
 @click.option("--tmax", type=float, default=25.0, show_default=True,
               help="End of the dimensionless g*t grid.")
-@click.option("--points", type=int, default=501, show_default=True, help="Grid points.")
+@click.option("--points", type=click.IntRange(2, MAX_POINTS), default=501, show_default=True,
+              help="Grid points.")
 @click.option("--g", "g_rad_s", type=float, default=None,
               help="Rabi scale in rad/s; adds a seconds column t_s.")
 @click.option("--oracle", is_flag=True,
@@ -127,8 +206,8 @@ def cmd_jc(dist, model, gamma0, exponent_d, tmax, points, g_rad_s, oracle, out):
         params = DecoherenceParams(gamma0_tilde=gamma0, d=exponent_d, g=g_rad_s)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    if not (math.isfinite(tmax) and tmax > 0) or points < 2:
-        raise click.UsageError("need a finite tmax > 0 and at least 2 grid points")
+    if not (math.isfinite(tmax) and tmax > 0):
+        raise click.UsageError("need a finite tmax > 0")
     coupling = CouplingModel(model)
     grid = np.linspace(0.0, tmax, points)
     p_down = population_lower(grid, distribution, params, coupling)
@@ -138,11 +217,10 @@ def cmd_jc(dist, model, gamma0, exponent_d, tmax, points, g_rad_s, oracle, out):
     columns["p_down"] = p_down
     if oracle:
         columns["p_down_oracle"] = oracle_population_lower(grid, distribution, params, coupling)
-    header = ",".join(columns)
-    rows = [header]
-    for i in range(points):
-        rows.append(",".join(_fmt(col[i]) for col in columns.values()))
-    _write_output("\n".join(rows) + "\n", out)
+    # '%.12g' % x is format(x, '.12g'), nan, inf and -0.0 included
+    row = ",".join(["%.12g"] * len(columns))
+    body = "\n".join([row] * points) % tuple(np.column_stack(list(columns.values())).ravel().tolist())
+    _write_output(",".join(columns) + "\n" + body + "\n", out)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +307,7 @@ def cmd_swap(scenario, verify, out):
         raise InputError(f"bad scenario: {exc}") from exc
     if verify:
         _verify_or_die(coll, spec)
-    _dump_json(catswap.outcomes_to_jsonable(coll, spec, outcomes), out)
+    _dump_outcomes_json(catswap.outcomes_to_jsonable(coll, spec, ()), outcomes, out)
 
 
 @main.command("exchange")
@@ -249,12 +327,12 @@ def cmd_exchange(users, request_, verify, out):
     spec = catswap.MeasurementSpec.of(result.measured)
     if verify:
         _verify_or_die(result.collection, spec)
-    blob = catswap.outcomes_to_jsonable(result.collection, spec, result.outcomes)
+    blob = catswap.outcomes_to_jsonable(result.collection, spec, ())
     blob["users"] = list(result.users)
     blob["request"] = list(result.request)
     blob["user_particles"] = dict(result.user_particles)
     blob["hub_particles"] = dict(result.hub_particles)
-    _dump_json(blob, out)
+    _dump_outcomes_json(blob, result.outcomes, out)
 
 
 # ---------------------------------------------------------------------------

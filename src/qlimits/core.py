@@ -136,7 +136,10 @@ class DensityOperator:
         if mat.shape != (d, d):
             raise ValueError(f"matrix of shape {mat.shape} does not match dims {dims}")
         herm = float(np.abs(mat - mat.conj().T).max())
-        if herm > 1e-10:
+        # a NaN or infinite entry makes the deviation NaN or infinite
+        if not herm <= 1e-10:
+            if not math.isfinite(herm):
+                raise ValueError("matrix has non-finite entries")
             raise ValueError(f"matrix is not Hermitian: max deviation {herm:.3e}")
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > 1e-10:
@@ -203,7 +206,8 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     """-sum(lam ln lam) over the spectrum, with 0 ln 0 := 0.  In nats."""
     lam = np.linalg.eigvalsh(rho.matrix)
     lam = lam[lam > ENTROPY_EIGENVALUE_CUTOFF]
-    return float(-(lam * np.log(lam)).sum())
+    # + 0.0 turns the -0.0 of a pure spectrum into 0.0
+    return float(-(lam * np.log(lam)).sum()) + 0.0
 
 
 def quantum_relative_entropy(sigma: DensityOperator, rho: DensityOperator) -> float:

@@ -103,10 +103,12 @@ class DecoherenceParams:
             raise ValueError("gamma0_tilde must be finite and >= 0")
         if not math.isfinite(self.d):
             raise ValueError("d must be finite")
-        if self.g is not None and self.g <= 0:
-            raise ValueError("g must be > 0 when supplied")
-        if self.temperature is not None and self.temperature <= 0:
-            raise ValueError("temperature must be > 0 when supplied")
+        if self.g is not None and not (math.isfinite(self.g) and self.g > 0):
+            raise ValueError("g must be finite and > 0 when supplied")
+        if self.temperature is not None and not (
+            math.isfinite(self.temperature) and self.temperature > 0
+        ):
+            raise ValueError("temperature must be finite and > 0 when supplied")
 
     def require_dimensional(self) -> tuple[float, float]:
         if self.g is None:

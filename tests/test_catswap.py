@@ -1,10 +1,12 @@
 """Tests for the cat-state swapping engine and its dense oracle."""
+import itertools
 
 import numpy as np
 import pytest
 
 from qlimits.catswap import (
     BRUTE_FORCE_LIMIT,
+    MAX_OUTCOMES,
     CatCollection,
     CatState,
     MeasurementSpec,
@@ -17,6 +19,7 @@ from qlimits.catswap import (
     outcomes_to_jsonable,
     polygon_counts,
     project_outcome,
+    SwapOutcome,
     scenario_from_dict,
     telephone_exchange,
     untouched_cats,
@@ -266,6 +269,29 @@ class TestBruteForceOracle:
 from helpers import random_swap_scenario as random_scenario
 
 
+def reference_outcomes(coll, spec):
+    """Outcomes by direct expansion, every cat through the validating CatState."""
+    selected = spec.selected
+    touched = [cat for cat in coll.cats if selected.intersection(cat.particles)]
+    sel_order = tuple(sorted(selected))
+    rest_order = tuple(sorted(p for cat in touched for p in cat.particles if p not in selected))
+    sign_product = int(np.prod([cat.sign for cat in touched]))
+    outcomes = []
+    for tail in itertools.product((0, 1), repeat=len(touched) - 1):
+        bit = {}
+        for cat, flip in zip(touched, (0, *tail)):
+            for p, b in zip(cat.particles, cat.bits):
+                bit[p] = b ^ flip
+        for sign in (+1, -1):
+            basis = CatState(sel_order, tuple(bit[p] for p in sel_order), sign)
+            if rest_order:
+                residual = CatState(rest_order, tuple(bit[p] for p in rest_order), sign * sign_product)
+                outcomes.append(SwapOutcome(basis, 0.5 ** len(touched), residual))
+            elif sign == sign_product:
+                outcomes.append(SwapOutcome(basis, 0.5 ** (len(touched) - 1), None))
+    return sorted(outcomes, key=lambda o: (o.basis.bits, o.basis.sign_char()))
+
+
 class TestRandomizedOracleEquivalence:
     def test_fifty_random_scenarios(self):
         # the full 200-scenario sweep runs in the acceptance suite
@@ -297,6 +323,19 @@ class TestRandomizedOracleEquivalence:
                 assert o.basis.n_particles == p
                 if o.residual is not None:
                     assert o.residual.n_particles == rest
+
+    def test_matches_validating_reference(self):
+        # the reference builds every cat with the validating constructor
+        rng = np.random.default_rng(31)
+        consumed = with_untouched = 0
+        for _ in range(250):
+            max_particles = int(rng.integers(2, 18))
+            coll, spec = random_scenario(rng, max_particles, min(6, max_particles))
+            expected = reference_outcomes(coll, spec)
+            assert enumerate_outcomes(coll, spec) == expected
+            consumed += expected[0].residual is None
+            with_untouched += len(untouched_cats(coll, spec)) > 0
+        assert consumed >= 10 and with_untouched >= 10
 
     def test_enumeration_order_documented(self):
         rng = np.random.default_rng(15)
@@ -337,6 +376,19 @@ class TestTelephoneExchange:
             )
             assert ok, message
             assert all(o.residual.n_particles == n for o in result.outcomes)
+
+    def test_outcome_cap(self):
+        # 16 users, all requested: 2^16 outcomes, exactly the cap
+        names = [f"U{i}" for i in range(16)]
+        assert len(telephone_exchange(names, names).outcomes) == MAX_OUTCOMES
+        with pytest.raises(ValueError, match="MAX_OUTCOMES"):
+            telephone_exchange(names + ["U16"], names + ["U16"])
+        # consumed cats halve the count: 17 fully measured Bell pairs are allowed
+        bells = CatCollection(tuple(make_bell(2 * i, 2 * i + 1, 0, 0, +1) for i in range(18)))
+        everything = MeasurementSpec.of(range(34))
+        assert len(enumerate_outcomes(CatCollection(bells.cats[:17]), everything)) == MAX_OUTCOMES
+        with pytest.raises(ValueError, match="MAX_OUTCOMES"):
+            enumerate_outcomes(bells, MeasurementSpec.of(range(36)))
 
     def test_unknown_user(self):
         with pytest.raises(ValueError, match="unknown"):

@@ -4,13 +4,24 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import qlimits
-from qlimits.cli import main
+import qlimits.cli as cli_module
+from helpers import random_swap_scenario
+from qlimits import catswap
+from qlimits.cli import MAX_POINTS, main
+from qlimits.jc import (
+    CouplingModel,
+    DecoherenceParams,
+    VibrationalDistribution,
+    oracle_population_lower,
+    population_lower,
+)
 
 
 @pytest.fixture
@@ -121,11 +132,58 @@ class TestJc:
         assert result.exit_code == 2
         assert "finite tmax" in result.output
 
-    @pytest.mark.parametrize("args", [["--gamma0", "nan"], ["--gamma0", "inf"], ["--d", "nan"]])
+    def test_points_above_cap_exit_2(self, runner):
+        result = runner.invoke(main, ["jc", "--points", str(MAX_POINTS + 1)])
+        assert result.exit_code == 2
+        assert "--points" in result.output
+
+    @pytest.mark.parametrize("args", [["--gamma0", "nan"], ["--gamma0", "inf"], ["--d", "nan"],
+                                      ["--g", "nan"], ["--g", "inf"]])
     def test_nonfinite_parameters_exit_3(self, runner, args):
         result = runner.invoke(main, ["jc", *args, "--points", "3"])
         assert result.exit_code == 3, result.output
         assert "finite" in result.output
+
+    def test_csv_matches_per_cell_format(self, runner):
+        # the reference formats each cell with format(x, '.12g') on its own
+        rng = np.random.default_rng(8)
+        cases = [[], ["--g", "2e5"], ["--oracle"], ["--g", "2e5", "--oracle"],
+                 ["--dist", "fock:0", "--gamma0", "0", "--tmax", "1e-300", "--points", "2"]]
+        for _ in range(200):
+            kind = ["fock:", "coherent:", "thermal:"][int(rng.integers(3))]
+            mean = int(rng.integers(0, 6)) if kind == "fock:" else float(rng.uniform(0.1, 8.0))
+            args = ["--dist", f"{kind}{mean!r}", "--model", ["di", "vi"][int(rng.integers(2))],
+                    "--gamma0", repr(float(rng.uniform(0.0, 0.5))), "--d", repr(float(rng.uniform(0.2, 3.0))),
+                    "--tmax", repr(float(10.0 ** rng.uniform(-3, 2))), "--points", str(int(rng.integers(2, 60)))]
+            if rng.random() < 0.5:
+                args += ["--g", repr(float(10.0 ** rng.uniform(-300, 300)))]
+            if rng.random() < 0.3:
+                args.append("--oracle")
+            cases.append(args)
+        for args in cases:
+            opts = dict(zip(args[::2], args[1::2]))
+            distribution = VibrationalDistribution.parse(opts.get("--dist", "coherent:3.0"))
+            params = DecoherenceParams(float(opts.get("--gamma0", 0.127)), float(opts.get("--d", 0.4)))
+            coupling = CouplingModel(opts.get("--model", "di"))
+            grid = np.linspace(0.0, float(opts.get("--tmax", 25.0)), int(opts.get("--points", 501)))
+            columns = {"gt": grid}
+            if "--g" in opts:
+                columns["t_s"] = grid / float(opts["--g"])
+            columns["p_down"] = population_lower(grid, distribution, params, coupling)
+            if "--oracle" in args:
+                columns["p_down_oracle"] = oracle_population_lower(grid, distribution, params, coupling)
+            rows = [",".join(columns)]
+            rows += [",".join(format(float(col[i]), ".12g") for col in columns.values())
+                     for i in range(grid.size)]
+            assert invoke(runner, "jc", *args).output == "\n".join(rows) + "\n", args
+
+    def test_percent_format_matches_format(self):
+        # the CSV writer relies on '%.12g' % x == format(x, '.12g') for every double
+        rng = np.random.default_rng(9)
+        values = rng.integers(0, 2**64, size=200_000, dtype=np.uint64).view(np.float64).tolist()
+        values += [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.nan, -math.nan,
+                   math.inf, -math.inf, 1e16, 123456789012.5, 0.1]
+        assert ["%.12g" % x for x in values] == [format(x, ".12g") for x in values]
 
     def test_unwritable_output_exits_3(self, runner, tmp_path):
         missing_dir = tmp_path / "nope" / "curve.csv"
@@ -264,6 +322,57 @@ class TestSwap:
         assert "dense limit" in result.output
 
 
+def reference_json(blob):
+    """The stdlib encoding every JSON document of the CLI must match."""
+    return json.dumps(cli_module._round12(blob), indent=2, sort_keys=True) + "\n"
+
+
+class TestOutcomeEmitter:
+    def emitted(self, tmp_path, blob, outcomes):
+        path = tmp_path / "out.json"
+        cli_module._dump_outcomes_json(blob, outcomes, str(path))
+        return path.read_text(encoding="utf-8")
+
+    def test_matches_stdlib_encoder_on_scenarios(self, tmp_path):
+        bell = [{"particles": [1, 2], "bits": [0, 0], "sign": "+"},
+                {"particles": [3, 4], "bits": [0, 0], "sign": "+"}]
+        scenarios = [
+            catswap.scenario_from_dict({"cats": bell, "measure": [2, 3]}),
+            catswap.scenario_from_dict({"cats": bell, "measure": [1, 2, 3, 4]}),
+            catswap.scenario_from_dict({"cats": bell + [{"particles": [5, 6, 7], "bits": [1, 0, 1],
+                                                         "sign": "-"}], "measure": [2, 3, 5]}),
+        ]
+        rng = np.random.default_rng(41)
+        for _ in range(250):
+            max_particles = int(rng.integers(2, 18))
+            scenarios.append(random_swap_scenario(rng, max_particles, min(6, max_particles)))
+        consumed = 0
+        for coll, spec in scenarios:
+            outcomes = catswap.enumerate_outcomes(coll, spec)
+            consumed += outcomes[0].residual is None
+            expected = reference_json(catswap.outcomes_to_jsonable(coll, spec, outcomes))
+            assert self.emitted(tmp_path, catswap.outcomes_to_jsonable(coll, spec, ()), outcomes) == expected
+        assert consumed >= 10
+        coll, spec = scenarios[0]
+        empty = catswap.outcomes_to_jsonable(coll, spec, ())
+        assert self.emitted(tmp_path, empty, ()) == reference_json(empty)
+
+    @pytest.mark.parametrize("users, request_", [
+        ("A", "A"), ("A,B,C,D", "A,B,C"), ("A,B,C,D,E,F,G,H", "H,B"),
+        ("u1,u2,u3,u4,u5,u6,u7,u8,u9", "u9,u1,u2,u3,u4,u5,u6,u7,u8"),
+        ('Zed,\u00e9,"q",b\\s,outcomes,A', 'outcomes,\u00e9,"q"'),
+    ])
+    def test_exchange_matches_stdlib_encoder(self, runner, users, request_):
+        output = invoke(runner, "exchange", "--users", users, "--request", request_).output
+        result = catswap.telephone_exchange(users.split(","), request_.split(","))
+        blob = catswap.outcomes_to_jsonable(
+            result.collection, catswap.MeasurementSpec.of(result.measured), result.outcomes
+        )
+        blob.update(users=list(result.users), request=list(result.request),
+                    user_particles=result.user_particles, hub_particles=result.hub_particles)
+        assert output == reference_json(blob)
+
+
 class TestExchange:
     def test_fig6_request(self, runner):
         result = invoke(runner, "exchange", "--users", "A,B,C,D", "--request", "A,B,C", "--verify")
@@ -279,6 +388,15 @@ class TestExchange:
         )
         assert result.exit_code == 3
         assert "dense limit" in result.output
+
+    def test_outcome_cap_exits_3(self, runner):
+        # 17 users, all requested, would give 2^17 outcomes; refused before enumerating
+        names = ",".join(f"u{i}" for i in range(17))
+        start = time.process_time()
+        result = runner.invoke(main, ["exchange", "--users", names, "--request", names])
+        assert time.process_time() - start < 1.0
+        assert result.exit_code == 3
+        assert "MAX_OUTCOMES" in result.output
 
     def test_unknown_user_exits_3(self, runner):
         result = runner.invoke(main, ["exchange", "--users", "A,B", "--request", "Z"])
@@ -312,6 +430,25 @@ class TestRee:
         result = invoke(runner, "ree", str(state))
         data = json.loads(result.output)
         assert data["value_nats"] < 1e-3
+
+    @pytest.mark.parametrize("dims", [[1, 1], [2, 2]])
+    def test_pure_product_prints_positive_zero(self, runner, tmp_path, dims):
+        d = int(np.prod(dims))
+        matrix = [[[1.0 if i == j == 0 else 0.0, 0.0] for j in range(d)] for i in range(d)]
+        state = tmp_path / "product.json"
+        state.write_text(json.dumps({"matrix": matrix, "dims": dims}))
+        result = invoke(runner, "ree", str(state))
+        assert result.exit_code == 0
+        assert "-0.0" not in result.output
+        assert json.loads(result.output)["value_nats"] == 0.0
+
+    @pytest.mark.parametrize("cell", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_cell_exits_3(self, runner, tmp_path, cell):
+        state = tmp_path / "bad.json"
+        state.write_text('{"matrix": [[[%s,0],[0,0]],[[0,0],[0.5,0]]], "dims": [2,1]}' % cell)
+        result = runner.invoke(main, ["ree", str(state)])
+        assert result.exit_code == 3, result.output
+        assert "non-finite" in result.output
 
     def test_non_density_input_exits_3(self, runner, tmp_path):
         state = tmp_path / "bad.json"

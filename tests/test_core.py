@@ -60,6 +60,14 @@ class TestDensityOperator:
         with pytest.raises(ValueError, match="negative eigenvalue"):
             DensityOperator(m, (2,))
 
+    @pytest.mark.parametrize("cell", [(0, 0), (0, 1), (1, 1)])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    def test_rejects_non_finite_entries(self, cell, value):
+        m = np.diag([0.5, 0.5]).astype(complex)
+        m[cell] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityOperator(m, (2,))
+
     def test_eig_tol_can_be_loosened(self):
         m = np.diag([1.0 + 5e-9, -5e-9]).astype(complex)
         m /= np.trace(m).real
@@ -142,6 +150,12 @@ class TestVonNeumannEntropy:
         rng = np.random.default_rng(19)
         psi = random_pure_state(rng, (2, 2))
         assert abs(von_neumann_entropy(psi.density())) < 1e-10
+
+    def test_pure_spectrum_is_positive_zero(self):
+        # -(1 ln 1) is -0.0 in floating point; the entropy must print as 0
+        for dims in ((1,), (2, 2)):
+            value = von_neumann_entropy(PureState.computational((0,) * len(dims), dims).density())
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
     def test_maximally_mixed_qubit(self):
         assert von_neumann_entropy(DensityOperator.maximally_mixed((2,))) == pytest.approx(LN2, abs=1e-12)

@@ -152,6 +152,7 @@ class TestMeanReservoirOccupation:
 @pytest.mark.parametrize("field, value", [
     ("gamma0_tilde", math.nan), ("gamma0_tilde", math.inf), ("gamma0_tilde", -0.1),
     ("d", math.nan), ("d", math.inf), ("d", -math.inf),
+    ("g", math.nan), ("g", math.inf), ("temperature", math.nan), ("temperature", math.inf),
 ])
 def test_decoherence_params_reject_bad_values(field, value):
     kwargs = {"gamma0_tilde": 0.127, "d": 0.4, field: value}
