@@ -36,6 +36,9 @@ EXIT_INPUT_ERROR = 3
 EXIT_VERIFY_MISMATCH = 4
 # Largest jc time grid; a larger one is a usage error.
 MAX_POINTS = 1_000_000
+# Largest jc --oracle grid, in time points x doublets (points x (n_max + 1));
+# the oracle holds about 123 bytes per cell.  A larger one is an input error.
+MAX_ORACLE_CELLS = 2**21
 
 
 class InputError(click.ClickException):
@@ -208,6 +211,11 @@ def cmd_jc(dist, model, gamma0, exponent_d, tmax, points, g_rad_s, oracle, out):
         raise InputError(str(exc)) from exc
     if not (math.isfinite(tmax) and tmax > 0):
         raise click.UsageError("need a finite tmax > 0")
+    cells = points * (distribution.n_max + 1)
+    if oracle and cells > MAX_ORACLE_CELLS:
+        raise InputError(
+            f"--oracle needs points x (n_max + 1) = {cells} cells, above MAX_ORACLE_CELLS={MAX_ORACLE_CELLS}"
+        )
     coupling = CouplingModel(model)
     grid = np.linspace(0.0, tmax, points)
     p_down = population_lower(grid, distribution, params, coupling)

@@ -135,7 +135,8 @@ class DensityOperator:
         d = math.prod(dims)
         if mat.shape != (d, d):
             raise ValueError(f"matrix of shape {mat.shape} does not match dims {dims}")
-        herm = float(np.abs(mat - mat.conj().T).max())
+        with np.errstate(invalid="ignore"):  # inf - inf, reported below
+            herm = float(np.abs(mat - mat.conj().T).max())
         # a NaN or infinite entry makes the deviation NaN or infinite
         if not herm <= 1e-10:
             if not math.isfinite(herm):

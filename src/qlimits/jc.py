@@ -423,7 +423,6 @@ def _oracle_blocks(dist, params, model, t_grid) -> tuple[np.ndarray, int]:
     # Two guard levels beyond the populated doublets; the dynamics is
     # block-diagonal in the doublets so the truncation is exact.
     n_levels = dist.n_max + 3
-    h = jc_hamiltonian(n_levels)
     eye = np.eye(2)
     liouvillians, vecs = [], []
     for n in range(dist.n_max + 1):
@@ -431,7 +430,10 @@ def _oracle_blocks(dist, params, model, t_grid) -> tuple[np.ndarray, int]:
         plus, minus = (s.amplitudes[basis] for s in dressed_states(n, n_levels))
         d_n = np.outer(plus, plus.conj()) - np.outer(minus, minus.conj())
         d_sq = d_n @ d_n
-        h_n = h[np.ix_(basis, basis)]
+        # the block of jc_hamiltonian(n_levels) on this doublet, built
+        # without the dense (2 n_levels)^2 matrix
+        coupling = math.sqrt(n + 1)
+        h_n = np.array([[0.0, coupling], [coupling, 0.0]])
         # row-major vectorization: vec(X rho Y) = (X kron Y^T) vec(rho)
         liouvillians.append(
             -1j * (np.kron(h_n, eye) - np.kron(eye, h_n.T))

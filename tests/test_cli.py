@@ -14,7 +14,7 @@ import qlimits
 import qlimits.cli as cli_module
 from helpers import random_swap_scenario
 from qlimits import catswap
-from qlimits.cli import MAX_POINTS, main
+from qlimits.cli import MAX_ORACLE_CELLS, MAX_POINTS, main
 from qlimits.jc import (
     CouplingModel,
     DecoherenceParams,
@@ -136,6 +136,23 @@ class TestJc:
         result = runner.invoke(main, ["jc", "--points", str(MAX_POINTS + 1)])
         assert result.exit_code == 2
         assert "--points" in result.output
+
+    def test_oracle_above_cell_cap_exits_3(self, runner, monkeypatch):
+        # fock:2 has 3 doublets and 3 x 699051 = MAX_ORACLE_CELLS + 1; the
+        # cap is checked before any curve is computed
+        assert 3 * 699051 == MAX_ORACLE_CELLS + 1
+
+        def no_compute(*args):
+            raise AssertionError("computed above the cap")
+
+        monkeypatch.setattr(cli_module, "population_lower", no_compute)
+        result = runner.invoke(main, ["jc", "--oracle", "--dist", "fock:2", "--points", "699051"])
+        assert result.exit_code == 3, result.output
+        assert "MAX_ORACLE_CELLS" in result.output
+        # without --oracle the same grid is within bounds
+        monkeypatch.undo()
+        result = runner.invoke(main, ["jc", "--dist", "fock:2", "--points", "699051", "--out", os.devnull])
+        assert result.exit_code == 0
 
     @pytest.mark.parametrize("args", [["--gamma0", "nan"], ["--gamma0", "inf"], ["--d", "nan"],
                                       ["--g", "nan"], ["--g", "inf"]])
@@ -449,6 +466,19 @@ class TestRee:
         result = runner.invoke(main, ["ree", str(state)])
         assert result.exit_code == 3, result.output
         assert "non-finite" in result.output
+
+    def test_infinite_cell_prints_no_warning(self, tmp_path):
+        state = tmp_path / "bad.json"
+        state.write_text('{"matrix": [[[Infinity,0],[0,0]],[[0,0],[0.5,0]]], "dims": [2,1]}')
+        src = os.path.dirname(os.path.dirname(qlimits.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "qlimits.cli", "ree", str(state)],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        )
+        assert result.returncode == 3
+        assert "non-finite" in result.stderr
+        assert "RuntimeWarning" not in result.stderr
 
     def test_non_density_input_exits_3(self, runner, tmp_path):
         state = tmp_path / "bad.json"

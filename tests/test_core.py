@@ -1,5 +1,6 @@
 """Tests for state/operator arithmetic and entropies."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +68,16 @@ class TestDensityOperator:
         m[cell] = value
         with pytest.raises(ValueError, match="non-finite"):
             DensityOperator(m, (2,))
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, complex(math.inf, 0.0), complex(0.0, math.inf)])
+    def test_infinite_entry_raises_only_value_error(self, value):
+        # inf - inf in the Hermiticity check must not warn first
+        m = np.diag([0.5, 0.5]).astype(complex)
+        m[0, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                DensityOperator(m, (2,))
 
     def test_eig_tol_can_be_loosened(self):
         m = np.diag([1.0 + 5e-9, -5e-9]).astype(complex)

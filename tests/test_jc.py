@@ -1,6 +1,7 @@
 """Tests for the damped Jaynes-Cummings module."""
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -429,6 +430,19 @@ class TestDephasingOracle:
             dephasing_oracle_trajectory(
                 VibrationalDistribution.fock(0), DecoherenceParams(0.2, 0.4), DI, [1.0]
             )
+
+    def test_memory_linear_in_levels(self):
+        # the doublet blocks are built one at a time; a dense
+        # jc_hamiltonian at coherent:2000 (about 2200 levels) alone takes
+        # (2 x 2200)^2 x 8 bytes, about 150 MB
+        dist = VibrationalDistribution.coherent(2000.0)
+        tracemalloc.start()
+        try:
+            oracle_population_lower([0.0, 1.0], dist, DecoherenceParams(0.127, 0.4), DI)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6, peak
 
     def test_population_matches_analytic_weights(self):
         # mixed distribution: numeric P_down tracks the analytic formula
