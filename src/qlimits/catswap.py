@@ -364,46 +364,47 @@ def cats_dense_vector(cats, order) -> np.ndarray:
     return tensor.transpose(perm).reshape(-1)
 
 
-def _all_canonical_basis(particles: tuple[int, ...]):
-    """Canonical cat basis on the given particles: 2^(n-1) bit patterns x 2 signs."""
-    n = len(particles)
-    for tail in itertools.product((0, 1), repeat=n - 1):
-        bits = (0,) + tail
-        for sign in (+1, -1):
-            yield CatState(particles, bits, sign)
-
-
 def brute_force_oracle(coll: CatCollection, spec: MeasurementSpec) -> list[DenseOutcome]:
     """Exact dense projection onto every cat-basis state of the selection.
 
-    Builds the full normalized state vector, projects, and returns
-    probabilities with normalized residual vectors.  Limited to
-    ``BRUTE_FORCE_LIMIT`` particles total.
+    Builds the full normalized state vector with the selected axes
+    first, so row i of its (2^p, rest) matrix is the selection's bit
+    pattern i.  For i < 2^(p-1) that pattern is canonical (bit 0 on the
+    lowest particle), row 2^p - 1 - i is its complement, and the
+    projection onto the cat i with sign s is (row_i + s row_c) / sqrt 2.
+    Returns probabilities with normalized residual vectors in the
+    documented order.  Limited to ``BRUTE_FORCE_LIMIT`` particles total.
     """
     import numpy as np
 
     total = coll.n_particles
     if total > BRUTE_FORCE_LIMIT:
         raise ValueError(f"{total} particles exceed the dense limit of {BRUTE_FORCE_LIMIT}")
-    _split_by_measurement(coll, spec)  # validates the selection
     all_order = coll.particles
+    missing = spec.selected.difference(all_order)
+    if missing:
+        raise ValueError(f"selected particles {sorted(missing)} are not in the collection")
     sel_order = tuple(sorted(spec.selected))
     rest_order = tuple(p for p in all_order if p not in spec.selected)
     psi = cats_dense_vector(coll.cats, sel_order + rest_order)
     matrix = psi.reshape(2 ** len(sel_order), -1)
+    half = matrix.shape[0] // 2
+    rows, complements = matrix[:half], matrix[::-1][:half]
+    root2 = math.sqrt(2.0)
+    # + 0.0 maps -0.0 to 0.0, so zero entries are positive, as in the full
+    # inner product <basis|psi> over all 2^p rows
+    residuals = {+1: (rows + complements) / root2 + 0.0, -1: (rows - complements) / root2 + 0.0}
     outcomes = []
-    for basis in _all_canonical_basis(sel_order):
-        phi = cats_dense_vector([basis], sel_order)
-        residual = phi.conj() @ matrix
-        probability = float(np.vdot(residual, residual).real)
-        if probability < 1e-12:
-            continue
-        if rest_order:
-            vec = residual / math.sqrt(probability)
-        else:
-            vec = None
-        outcomes.append(DenseOutcome(basis, probability, rest_order, vec))
-    return sorted(outcomes, key=lambda o: (o.basis.bits, 0 if o.basis.sign > 0 else 1))
+    for i in range(half):
+        bits = tuple(map(int, format(i, f"0{len(sel_order)}b")))
+        for sign in (+1, -1):
+            residual = residuals[sign][i]
+            probability = float(np.vdot(residual, residual).real)
+            if probability < 1e-12:
+                continue
+            vec = residual / math.sqrt(probability) if rest_order else None
+            outcomes.append(DenseOutcome(CatState(sel_order, bits, sign), probability, rest_order, vec))
+    return outcomes
 
 
 def verify_against_oracle(
@@ -514,18 +515,36 @@ def telephone_exchange(users, request) -> ExchangeResult:
 # ---------------------------------------------------------------------------
 
 
+def _int_list(value, what) -> list:
+    """``value`` if it is a list of JSON integers (true and false are not), else ValueError."""
+    if not isinstance(value, list) or not all(type(v) is int for v in value):
+        raise ValueError(f"{what} must be a list of integers, got {value!r}")
+    return value
+
+
 def scenario_from_dict(data: dict) -> tuple[CatCollection, MeasurementSpec]:
-    """Parse ``{"cats": [{"particles", "bits", "sign"}], "measure": [...]}``."""
+    """Parse ``{"cats": [{"particles", "bits", "sign"}], "measure": [...]}``.
+
+    The schema is strict: ``particles``, ``bits`` and ``measure`` are
+    lists of integers, and ``sign`` is "+", "-", 1 or -1.
+    """
     if not isinstance(data, dict) or "cats" not in data or "measure" not in data:
         raise ValueError("scenario needs 'cats' and 'measure' entries")
+    if not isinstance(data["cats"], list):
+        raise ValueError("'cats' must be a list of cat objects")
     cats = []
     for i, entry in enumerate(data["cats"]):
         try:
-            cats.append(CatState(tuple(entry["particles"]), tuple(entry["bits"]), entry["sign"]))
+            sign = entry["sign"]
+            if sign not in ("+", "-") and not (type(sign) is int and sign in (1, -1)):
+                raise ValueError(f"sign must be '+', '-', 1 or -1, got {sign!r}")
+            particles = _int_list(entry["particles"], "particles")
+            bits = _int_list(entry["bits"], "bits")
+            cats.append(CatState(tuple(particles), tuple(bits), sign))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad cat entry {i}: {exc}") from exc
     coll = CatCollection(tuple(cats))
-    spec = MeasurementSpec.of(data["measure"])
+    spec = MeasurementSpec.of(_int_list(data["measure"], "measure"))
     return coll, spec
 
 

@@ -13,10 +13,7 @@ Each command imports only the engine it runs, when it runs: ``jc``
 loads ``qlimits.jc``, ``budget`` ``qlimits.feasibility``, ``swap`` and
 ``exchange`` ``qlimits.catswap``, and ``ree`` ``qlimits.entanglement``.
 numpy is loaded by ``jc``, ``ree`` and ``--verify``, so ``budget``, and
-``swap`` and ``exchange`` without ``--verify``, start without it.  On a
-2-core Xeon sandbox with bytecode caching off, this cut the median CPU
-time of one ``budget`` process from 0.38 s to 0.13 s, and of a 13-user
-``exchange`` from 0.54 s to 0.31 s (README lists every command).
+``swap`` and ``exchange`` without ``--verify``, start without it.
 """
 from __future__ import annotations
 
@@ -277,9 +274,10 @@ def cmd_budget(l_list, epsilon, eta, ratio, ions_path, n_ops, out):
         raise click.UsageError("--L needs at least one value")
     ions = ()
     if ions_path is not None:
+        # json.load raises RecursionError on nesting deeper than the recursion limit
         try:
             ions = feasibility.load_ion_config(ions_path)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError, json.JSONDecodeError) as exc:
             raise InputError(f"bad ion config: {exc}") from exc
     try:
         report = feasibility.feasibility_report(
@@ -295,6 +293,13 @@ def cmd_budget(l_list, epsilon, eta, ratio, ions_path, n_ops, out):
 # ---------------------------------------------------------------------------
 # swap / exchange
 # ---------------------------------------------------------------------------
+
+
+def _str_list(value, what) -> list:
+    """``value`` if it is a list of strings, else ValueError."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"{what} must be a list of strings, got {value!r}")
+    return value
 
 
 def _verify_or_die(coll, spec):
@@ -326,14 +331,16 @@ def cmd_swap(scenario, verify, out):
         with open(scenario, encoding="utf-8") as fh:
             data = json.load(fh)
         if isinstance(data, dict) and "users" in data:
-            result = catswap.telephone_exchange(data["users"], data.get("request", []))
+            result = catswap.telephone_exchange(
+                _str_list(data["users"], "users"), _str_list(data.get("request", []), "request")
+            )
             coll = result.collection
             spec = catswap.MeasurementSpec.of(result.measured)
             outcomes = result.outcomes
         else:
             coll, spec = catswap.scenario_from_dict(data)
             outcomes = catswap.enumerate_outcomes(coll, spec)
-    except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, TypeError, RecursionError, json.JSONDecodeError) as exc:
         raise InputError(f"bad scenario: {exc}") from exc
     if verify:
         _verify_or_die(coll, spec)
@@ -373,6 +380,8 @@ def cmd_exchange(users, request_, verify, out):
 
 
 def _load_density(path) -> DensityOperator:
+    """Read ``{"matrix": [[[re, im], ...], ...], "dims": [...]}``; the schema is
+    strict, and an integer cell beyond the float range raises OverflowError."""
     import numpy as np
 
     from .core import DensityOperator
@@ -381,12 +390,20 @@ def _load_density(path) -> DensityOperator:
         data = json.load(fh)
     if not isinstance(data, dict) or "matrix" not in data or "dims" not in data:
         raise ValueError("input needs 'matrix' ([[re, im] pairs]) and 'dims'")
+    dims = data["dims"]
+    if not isinstance(dims, list) or not all(type(d) is int for d in dims):
+        raise ValueError(f"dims must be a list of integers, got {dims!r}")
     raw = data["matrix"]
-    try:
-        mat = np.array([[complex(cell[0], cell[1]) for cell in row] for row in raw])
-    except (TypeError, IndexError, KeyError) as exc:
-        raise ValueError(f"matrix entries must be [re, im] pairs: {exc!r}") from exc
-    return DensityOperator(mat, tuple(int(d) for d in data["dims"]))
+    if not isinstance(raw, list) or not all(
+        isinstance(row, list) and all(_is_number_pair(cell) for cell in row) for row in raw
+    ):
+        raise ValueError("matrix must be a list of rows of [re, im] pairs of numbers")
+    mat = np.array([[complex(re, im) for re, im in row] for row in raw])
+    return DensityOperator(mat, tuple(dims))
+
+
+def _is_number_pair(cell) -> bool:
+    return isinstance(cell, list) and len(cell) == 2 and all(type(x) in (int, float) for x in cell)
 
 
 @main.command("ree")
@@ -408,7 +425,7 @@ def cmd_ree(state_file, axioms, seed, out):
         raise click.UsageError("provide a state file or --axioms")
     try:
         sigma = _load_density(state_file)
-    except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, TypeError, OverflowError, RecursionError, json.JSONDecodeError) as exc:
         raise InputError(f"bad state file: {exc}") from exc
     try:
         result = relative_entropy_of_entanglement(sigma)

@@ -122,7 +122,8 @@ class DensityOperator:
     Validation tolerances: Hermiticity within 1e-10 (max elementwise),
     eigenvalues >= -``eig_tol`` (default 1e-10), trace 1 within 1e-10.
     ``eig_tol`` may be loosened by producers of numerically integrated
-    states; it is not stored.
+    states.  It is a field: it takes part in ``==`` and ``repr``, and
+    :func:`partial_trace` passes it on (never below the default).
     """
 
     matrix: np.ndarray

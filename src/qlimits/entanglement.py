@@ -49,7 +49,6 @@ from .core import (
 )
 
 __all__ = [
-    "SeparableAnsatz",
     "EntanglementResult",
     "ClassicalCorrelationsResult",
     "AxiomCheck",
@@ -91,7 +90,7 @@ _PPT_MAX_DIM = 6
 
 
 def _n_terms(dims) -> int:
-    """Number of product terms in the separable ansatz."""
+    """Number of product terms in a searched separable mixture."""
     return max(8, int(np.prod(dims)) + 4)
 
 
@@ -105,49 +104,11 @@ def _mixture_density(weights, psi) -> np.ndarray:
     return np.einsum("k,ki,kj->ij", weights, psi, psi.conj())
 
 
-@dataclass(frozen=True)
-class SeparableAnsatz:
-    """Convex mixture of product pure states.
-
-    ``local_states[p][k]`` is the party-p pure state of term k; weights
-    are a probability vector.
-    """
-
-    weights: np.ndarray
-    local_states: tuple[np.ndarray, ...]
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or (w < -1e-15).any():
-            raise ValueError("weights must be a nonnegative vector")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {w.sum()!r}, expected 1")
-        locals_ = tuple(np.asarray(s, dtype=complex) for s in self.local_states)
-        if len(locals_) != len(self.dims):
-            raise ValueError("one local-state block per party required")
-        for states, d in zip(locals_, self.dims):
-            if states.shape != (w.size, d):
-                raise ValueError(f"local block of shape {states.shape} does not match (K, {d})")
-            norms = np.linalg.norm(states, axis=1)
-            if np.abs(norms - 1.0).max() > 1e-10:
-                raise ValueError("local states must be normalized")
-        w = np.clip(w, 0.0, None)
-        w = w / w.sum()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "local_states", locals_)
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-
-    def product_vectors(self) -> np.ndarray:
-        """(K, prod(dims)) array of the product kets."""
-        vectors = self.local_states[0]
-        for states in self.local_states[1:]:
-            vectors = _product_vectors(vectors, states)
-        return vectors
-
-    def assemble(self) -> DensityOperator:
-        return DensityOperator(_mixture_density(self.weights, self.product_vectors()), self.dims)
+def _separable_state(w, a, b, dims) -> DensityOperator:
+    """sum_k w_k |a_k b_k><a_k b_k| with ``w`` clipped at 0 and renormalized; rows
+    of ``a`` or ``b`` that are not unit vectors break the trace, which DensityOperator rejects."""
+    w = np.clip(np.asarray(w, dtype=float), 0.0, None)
+    return DensityOperator(_mixture_density(w / w.sum(), _product_vectors(a, b)), dims)
 
 
 @dataclass
@@ -404,7 +365,7 @@ def _pure_closed_form(sigma: DensityOperator, psi) -> EntanglementResult:
     p, u = np.linalg.eigh(m @ m.conj().T)
     kept = p > ENTROPY_EIGENVALUE_CUTOFF
     p, u = p[kept] / p[kept].sum(), u[:, kept]
-    closest = SeparableAnsatz(p, (u.T, _normalize_rows(u.conj().T @ m)), sigma.dims).assemble()
+    closest = _separable_state(p, u.T, _normalize_rows(u.conj().T @ m), sigma.dims)
     return EntanglementResult(von_neumann_entropy(partial_trace(sigma, [0])), closest, "pure")
 
 
@@ -427,7 +388,7 @@ def _search(sigma: DensityOperator) -> EntanglementResult:
     f, (w, a, b), history, iterations, stop_reason = _descend(
         sigma.matrix, -von_neumann_entropy(sigma), sigma.dims, w, a, b, rng
     )
-    closest = SeparableAnsatz(w, (_normalize_rows(a), _normalize_rows(b)), sigma.dims).assemble()
+    closest = _separable_state(w, _normalize_rows(a), _normalize_rows(b), sigma.dims)
     value = quantum_relative_entropy(sigma, closest)
     if not math.isfinite(value):
         value = f
@@ -488,15 +449,12 @@ def _random_local_rows(rng, n, d):
     return _normalize_rows(z)
 
 
-def random_separable(rng, dims, n_terms: int = 8) -> SeparableAnsatz:
-    """Random mixture of product pure states (a separable state)."""
+def random_separable(rng, dims, n_terms: int = 8) -> DensityOperator:
+    """Random mixture of n_terms product pure states (a separable state)."""
     _require_bipartite(dims)
     weights = rng.dirichlet(np.ones(n_terms))
-    return SeparableAnsatz(
-        weights,
-        tuple(_random_local_rows(rng, n_terms, d) for d in dims),
-        tuple(dims),
-    )
+    a, b = (_random_local_rows(rng, n_terms, d) for d in dims)
+    return _separable_state(weights, a, b, dims)
 
 
 def _random_unitary(rng, d):
@@ -593,10 +551,10 @@ def _default_measure(sigma: DensityOperator) -> float:
     return relative_entropy_of_entanglement(sigma).value
 
 
-def bell_state(dims=(2, 2)) -> DensityOperator:
+def bell_state() -> DensityOperator:
     amps = np.zeros(4, dtype=complex)
     amps[0] = amps[3] = 1.0 / math.sqrt(2.0)
-    return PureState(amps, dims).density()
+    return PureState(amps, (2, 2)).density()
 
 
 def _random_two_qubit_state(rng) -> DensityOperator:
@@ -606,11 +564,11 @@ def _random_two_qubit_state(rng) -> DensityOperator:
 
 
 def check_separable_zero(measure, *, n_cases, seed=0, tol=1e-3) -> AxiomCheck:
-    """E1 (zero direction): assembled separable states measure ~0."""
+    """E1 (zero direction): random separable states measure ~0."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_cases):
-        sigma = random_separable(rng, (2, 2)).assemble()
+        sigma = random_separable(rng, (2, 2))
         worst = max(worst, measure(sigma))
     return AxiomCheck("E1", "separable states have zero measure", worst < tol, n_cases, worst)
 

@@ -187,8 +187,9 @@ class IonSpecies:
 
     def __post_init__(self):
         for field_name in ION_FIELDS[1:]:
-            if getattr(self, field_name) <= 0:
-                raise ValueError(f"ion {self.name!r}: {field_name} must be > 0")
+            value = getattr(self, field_name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"ion {self.name!r}: {field_name} must be > 0 and finite, got {value!r}")
 
 
 def qubit_overhead(L: int) -> int:
@@ -328,7 +329,10 @@ def load_ion_config(source) -> list[IonSpecies]:
             value = entry[field_name]
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValueError(f"ion entry {i}: {field_name} must be a number")
-            numeric[field_name] = float(value)
+            try:
+                numeric[field_name] = float(value)
+            except OverflowError:
+                raise ValueError(f"ion entry {i}: {field_name} exceeds the float range") from None
         ions.append(IonSpecies(name=entry["name"], **numeric))
     names = [ion.name for ion in ions]
     if len(set(names)) != len(names):
@@ -468,35 +472,51 @@ def feasibility_report(
         if value is not None and not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     ions = tuple(ions)
-    rows = []
-    for L in L_values:
-        gate_errors = tuple((ion.name, error_rate_per_gate(L, ion, eta)) for ion in ions)
-        rows.append(
-            BudgetRow(
-                L=L,
-                t_bound=min_total_time(L, epsilon, eta, ratio),
-                gamma_bound=max_decay_rate(L, epsilon, eta, ratio),
-                gate_errors=gate_errors,
-            )
-        )
-    emissions = []
-    if n_ops is not None:
+    # a float power can overflow, an L be too large for a float, or a
+    # bound's denominator underflow to 0
+    try:
+        rows = []
         for L in L_values:
-            for ion in ions:
-                p2 = emission_prob_level2(n_ops, ion.Gamma22, ion.Delta2)
-                p3 = emission_prob_extraneous(n_ops, L, ion, eta)
-                total = ProbabilityValue(p2.value + p3.value)
-                emissions.append(
-                    EmissionBudget(
-                        ion=ion.name,
-                        L=L,
-                        n_ops=float(n_ops),
-                        p2=p2,
-                        p3=p3,
-                        p_total=total,
-                        error_rate=total.value / n_ops,
-                    )
+            gate_errors = tuple((ion.name, error_rate_per_gate(L, ion, eta)) for ion in ions)
+            rows.append(
+                BudgetRow(
+                    L=L,
+                    t_bound=min_total_time(L, epsilon, eta, ratio),
+                    gamma_bound=max_decay_rate(L, epsilon, eta, ratio),
+                    gate_errors=gate_errors,
                 )
+            )
+        emissions = []
+        if n_ops is not None:
+            for L in L_values:
+                for ion in ions:
+                    p2 = emission_prob_level2(n_ops, ion.Gamma22, ion.Delta2)
+                    p3 = emission_prob_extraneous(n_ops, L, ion, eta)
+                    total = ProbabilityValue(p2.value + p3.value)
+                    emissions.append(
+                        EmissionBudget(
+                            ion=ion.name,
+                            L=L,
+                            n_ops=float(n_ops),
+                            p2=p2,
+                            p3=p3,
+                            p_total=total,
+                            error_rate=total.value / n_ops,
+                        )
+                    )
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValueError(f"the budget leaves the float range ({exc})") from None
+    numbers = []
+    for row in rows:
+        numbers += [(f"T bound at L={row.L}", row.t_bound.value),
+                    (f"Gamma bound at L={row.L}", row.gamma_bound.value)]
+        numbers += [(f"r of {name} at L={row.L}", rate.value) for name, rate in row.gate_errors]
+    for em in emissions:
+        numbers += [(f"{key} of {em.ion} at L={em.L}", float(getattr(em, key)))
+                    for key in ("p2", "p3", "p_total", "error_rate")]
+    for what, value in numbers:
+        if not math.isfinite(value):
+            raise ValueError(f"{what} is {value!r}: the inputs leave the float range")
 
     notes = [
         "decay-rate column: direct evaluation of the bound gives values a factor ~10 "

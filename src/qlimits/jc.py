@@ -367,22 +367,15 @@ def population_lower(
     dist: VibrationalDistribution,
     params: DecoherenceParams,
     model: CouplingModel,
-    *,
-    seconds: bool = False,
 ) -> np.ndarray:
     """Lower-state population P_down(t) = (1 + sum_n p_n cos(B_n t) e^(-A_n t)) / 2.
 
-    ``t`` is a grid of dimensionless g*t values, or seconds when
-    ``seconds=True`` (requires ``params.g``).  The initial condition is
-    the spin-down product state carrying the given vibrational weights.
+    ``t`` is a grid of dimensionless g*t values.  The initial condition
+    is the spin-down product state carrying the given vibrational weights.
     """
     tau = np.atleast_1d(np.asarray(t, dtype=float))
     if tau.size == 0:
         raise ValueError("empty time grid")
-    if seconds:
-        if params.g is None:
-            raise ValueError("seconds=True needs the Rabi scale g")
-        tau = tau * params.g
     acc = np.zeros_like(tau)
     for n, p in enumerate(dist.p_n):
         if p == 0.0:

@@ -208,7 +208,7 @@ def test_criterion_entanglement_measure_checks():
     rng = np.random.default_rng(11)
     worst_sep = 0.0
     for _ in range(50):
-        sigma = random_separable(rng, (2, 2)).assemble()
+        sigma = random_separable(rng, (2, 2))
         worst_sep = max(worst_sep, relative_entropy_of_entanglement(sigma).value)
     assert worst_sep < 1e-3
 

@@ -265,6 +265,39 @@ class TestBruteForceOracle:
         for o in brute_force_oracle(coll, spec):
             assert np.linalg.norm(o.residual_vector) == pytest.approx(1.0, abs=1e-12)
 
+    def test_matches_per_basis_projection(self):
+        # reference: the state and every canonical basis cat expanded by
+        # raw_cat_vector, each basis projected on its own
+        rng = np.random.default_rng(404)
+        for _ in range(30):
+            n = int(rng.integers(2, BRUTE_FORCE_LIMIT + 1))
+            coll, spec = random_scenario(rng, n, min(4, n))
+            sel = tuple(sorted(spec.selected))
+            rest = tuple(p for p in coll.particles if p not in spec.selected)
+            psi = np.ones(1, dtype=complex)
+            axes = []
+            for cat in coll.cats:
+                psi = np.kron(psi, raw_cat_vector(cat.particles, cat.bits, cat.sign))
+                axes.extend(cat.particles)
+            psi = psi.reshape((2,) * len(axes)).transpose([axes.index(p) for p in sel + rest])
+            matrix = psi.reshape(2 ** len(sel), -1)
+            expected = []
+            for tail in itertools.product((0, 1), repeat=len(sel) - 1):
+                for sign in (+1, -1):
+                    residual = raw_cat_vector(sel, (0, *tail), sign) @ matrix
+                    probability = float(np.vdot(residual, residual).real)
+                    if probability > 1e-12:
+                        expected.append(((0, *tail), sign, probability, residual / np.sqrt(probability)))
+            dense = brute_force_oracle(coll, spec)
+            assert [(o.basis.bits, o.basis.sign) for o in dense] == [e[:2] for e in expected]
+            for o, (_, _, probability, residual) in zip(dense, expected):
+                assert o.basis.particles == sel and o.residual_particles == rest
+                assert o.probability == pytest.approx(probability, abs=1e-12)
+                if rest:
+                    np.testing.assert_allclose(o.residual_vector, residual, atol=1e-12)
+                else:
+                    assert o.residual_vector is None
+
 
 from helpers import random_swap_scenario as random_scenario
 

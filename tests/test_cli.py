@@ -57,6 +57,16 @@ def write_bell(path):
     path.write_text(json.dumps({"matrix": matrix, "dims": [2, 2]}))
 
 
+@pytest.mark.parametrize("argv", [["swap", "{}"], ["ree", "{}"], ["budget", "--ions", "{}"]])
+def test_deeply_nested_json_exits_3(runner, tmp_path, argv):
+    # json.load raises RecursionError on nesting deeper than the recursion limit
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    result = runner.invoke(main, [arg.format(path) for arg in argv])
+    assert result.exit_code == 3, result.output
+    assert "recursion" in result.output
+
+
 def test_version(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
@@ -312,6 +322,27 @@ class TestBudget:
         assert result.exit_code == 3, result.output
         assert "finite and > 0" in result.output
 
+    @pytest.mark.parametrize("args", [
+        ["--eta", "1e-300"], ["--L", "1" + "0" * 36], ["--ratio", "1e300", "--eta", "1e-10"],
+    ])
+    def test_overflow_exits_3(self, runner, args):
+        result = runner.invoke(main, ["budget", *args])
+        assert result.exit_code == 3, result.output
+        assert "float range" in result.output
+
+    @pytest.mark.parametrize("fields", [
+        '"Gamma33": 1e200', '"Gamma22": NaN, "Delta13": Infinity', '"beta": -Infinity',
+    ])
+    def test_unusable_ion_numbers_exit_3(self, runner, tmp_path, fields):
+        entry = {"name": "testium", "Gamma22": 1e8, "Gamma33": 1e7, "Delta2": 1e15,
+                 "Delta13": 1e15, "omega12": 2e15, "omega13": 4e15, "beta": 1.0}
+        ions = tmp_path / "ions.json"
+        # NaN and Infinity are not JSON, but json.load parses them
+        ions.write_text("[{%s, %s}]" % (json.dumps(entry)[1:-1], fields))
+        result = runner.invoke(main, ["budget", "--L", "4", "--ions", str(ions), "--N", "1e6"])
+        assert result.exit_code == 3, result.output
+        assert "p2=" not in result.output
+
     def test_bad_ion_config_exits_3(self, runner, tmp_path):
         ions = tmp_path / "ions.json"
         ions.write_text(json.dumps([{"name": "x"}]))
@@ -369,6 +400,31 @@ class TestSwap:
         result = runner.invoke(main, ["swap", str(scenario)])
         assert result.exit_code == 3, result.output
         assert "bad scenario" in result.output
+
+    @pytest.mark.parametrize("text", [
+        '{"cats": [{"particles": [1, 2], "bits": [0, 0], "sign": "+"}], "measure": "12"}',
+        '{"cats": [{"particles": [1.9, 2], "bits": [0, 0], "sign": "+"}], "measure": [1]}',
+        '{"cats": [{"particles": [1, 2], "bits": [true, 0], "sign": "+"}], "measure": [1]}',
+        '{"cats": [{"particles": [1, 2], "bits": [0, 0], "sign": true}], "measure": [1]}',
+        '{"cats": [{"particles": [1, 2], "bits": [0, 0], "sign": 1.0}], "measure": [1]}',
+        '{"cats": [{"particles": [1, 2], "bits": [0, 0], "sign": "+"}], "measure": [true]}',
+        '{"cats": [{"particles": [Infinity, 2], "bits": [0, 0], "sign": "+"}], "measure": [2]}',
+        '{"cats": {"particles": [1, 2]}, "measure": [1]}',
+        '{"users": "ABC", "request": "AB"}',
+        '{"users": ["A", "B"], "request": ["A", 2]}',
+    ])
+    def test_coercible_fields_exit_3(self, runner, tmp_path, text):
+        scenario = tmp_path / "bad.json"
+        scenario.write_text(text)
+        result = runner.invoke(main, ["swap", str(scenario)])
+        assert result.exit_code == 3, result.output
+        assert "bad scenario" in result.output
+
+    def test_integer_signs_accepted(self, runner, tmp_path):
+        scenario = tmp_path / "swap.json"
+        scenario.write_text('{"cats": [{"particles": [1, 2], "bits": [0, 0], "sign": -1}, '
+                            '{"particles": [3, 4], "bits": [0, 1], "sign": 1}], "measure": [2, 3]}')
+        assert invoke(runner, "swap", str(scenario), "--verify").exit_code == 0
 
     def test_verify_above_dense_limit_exits_3(self, runner, tmp_path):
         scenario = tmp_path / "big.json"
@@ -551,6 +607,22 @@ class TestRee:
     def test_wrong_shape_exits_3(self, runner, tmp_path, content):
         state = tmp_path / "bad.json"
         state.write_text(json.dumps(content))
+        result = runner.invoke(main, ["ree", str(state)])
+        assert result.exit_code == 3, result.output
+        assert "bad state file" in result.output
+
+    @pytest.mark.parametrize("text", [
+        '{"matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]], "dims": [2.9, 1]}',
+        '{"matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]], "dims": [true, 2]}',
+        '{"matrix": [[[1, 0]]], "dims": [Infinity]}',
+        '{"matrix": [[[true, 0]]], "dims": [1, 1]}',
+        '{"matrix": [[["1", 0]]], "dims": [1, 1]}',
+        '{"matrix": [[[1, 0, 7]]], "dims": [1, 1]}',
+        '{"matrix": [[[1%s, 0]]], "dims": [1, 1]}' % ("0" * 400),
+    ])
+    def test_coercible_fields_exit_3(self, runner, tmp_path, text):
+        state = tmp_path / "bad.json"
+        state.write_text(text)
         result = runner.invoke(main, ["ree", str(state)])
         assert result.exit_code == 3, result.output
         assert "bad state file" in result.output

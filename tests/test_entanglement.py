@@ -16,7 +16,6 @@ from qlimits.core import (
 from qlimits.entanglement import (
     EntanglementResult,
     HarnessConfig,
-    SeparableAnsatz,
     apply_instrument,
     axiom_harness,
     bell_state,
@@ -43,7 +42,9 @@ from qlimits.entanglement import (
     _objective,
     _product_vectors,
     _project_simplex,
+    _random_local_rows,
     _search,
+    _separable_state,
 )
 
 from helpers import random_density_operator, random_pure_state
@@ -122,26 +123,35 @@ def partial_transpose_min(sigma):
     return float(np.linalg.eigvalsh(gamma)[0])
 
 
-class TestSeparableAnsatz:
-    def test_assembles_valid_density_operator(self):
-        rng = np.random.default_rng(3)
-        ansatz = random_separable(rng, (2, 2))
-        rho = ansatz.assemble()
+class TestRandomSeparable:
+    def test_is_valid_density_operator(self):
+        rho = random_separable(np.random.default_rng(3), (2, 2))
+        assert isinstance(rho, DensityOperator)
         assert rho.dims == (2, 2)
         assert abs(np.trace(rho.matrix) - 1.0) < 1e-12
 
-    def test_rejects_bad_weights(self):
+    def test_unnormalized_rows_are_rejected(self):
         rng = np.random.default_rng(3)
-        good = random_separable(rng, (2, 2))
-        with pytest.raises(ValueError, match="sum"):
-            SeparableAnsatz(good.weights * 2.0, good.local_states, good.dims)
+        w = rng.dirichlet(np.ones(8))
+        a, b = _random_local_rows(rng, 8, 2), _random_local_rows(rng, 8, 2)
+        with pytest.raises(ValueError, match="trace"):
+            _separable_state(w, 2.0 * a, b, (2, 2))
 
-    def test_rejects_unnormalized_locals(self):
-        rng = np.random.default_rng(3)
-        good = random_separable(rng, (2, 2))
-        bad = (good.local_states[0] * 2.0, good.local_states[1])
-        with pytest.raises(ValueError, match="normalized"):
-            SeparableAnsatz(good.weights, bad, good.dims)
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    def test_matrix_is_the_mixture_of_its_draws(self, dims):
+        # the draws in the documented order: Dirichlet weights, then one
+        # block of normalized complex Gaussian rows per party
+        for s in range(5):
+            rng = np.random.default_rng(s)
+            w = rng.dirichlet(np.ones(8))
+            rows = []
+            for d in dims:
+                z = rng.standard_normal((8, d)) + 1j * rng.standard_normal((8, d))
+                rows.append(z / np.linalg.norm(z, axis=1, keepdims=True))
+            psi = np.einsum("ka,kb->kab", *rows).reshape(8, -1)
+            expected = np.einsum("k,ki,kj->ij", w / w.sum(), psi, psi.conj())
+            rho = random_separable(np.random.default_rng(s), dims)
+            assert np.array_equal(rho.matrix, expected)
 
 
 class TestRelativeEntropyOfEntanglement:
@@ -221,7 +231,7 @@ class TestClosedForms:
     def test_separable_is_exactly_zero(self, dims):
         rng = np.random.default_rng(0)
         for _ in range(10):
-            sigma = random_separable(rng, dims).assemble()
+            sigma = random_separable(rng, dims)
             result = relative_entropy_of_entanglement(sigma)
             assert result.value == 0.0
             assert result.stop_reason == "ppt"
@@ -329,8 +339,9 @@ class TestSearchLoop:
             sigma = random_density_operator(rng, dims)
             lam = np.linalg.eigvalsh(sigma.matrix)
             sigma_term = float((lam * np.log(lam)).sum())
-            start = random_separable(rng, dims, _n_terms(dims))
-            w, (a, b) = start.weights, start.local_states
+            k = _n_terms(dims)
+            w = rng.dirichlet(np.ones(k))
+            a, b = (_random_local_rows(rng, k, d) for d in dims)
             psi = _product_vectors(a, b)
             gradient = _gradient(_objective(sigma.matrix, sigma_term, _mixture_density(w, psi))[1])
             # a short line-search trial, built as the optimizer builds one
@@ -498,7 +509,7 @@ class TestDistillationBound:
 
     def test_separable_yields_zero(self):
         rng = np.random.default_rng(51)
-        sigma = random_separable(rng, (2, 2)).assemble()
+        sigma = random_separable(rng, (2, 2))
         assert distillation_bound(25, sigma) == 0
 
     def test_arithmetic(self):

@@ -292,6 +292,17 @@ class TestIonConfig:
         with pytest.raises(ValueError, match="must be > 0"):
             load_ion_config([entry])
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_nonfinite_rejected(self, value):
+        with pytest.raises(ValueError, match="must be > 0 and finite"):
+            synthetic_ion(Delta13=value)
+
+    def test_integer_beyond_float_rejected(self):
+        entry = self.good_entry()
+        entry["omega13"] = 10**400
+        with pytest.raises(ValueError, match="float range"):
+            load_ion_config([entry])
+
     def test_non_numeric_rejected(self):
         entry = self.good_entry()
         entry["Delta2"] = "1e15"
@@ -358,6 +369,18 @@ class TestFeasibilityReport:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             feasibility_report([])
+
+    @pytest.mark.parametrize("L, kwargs", [
+        (4, dict(eta=1e-300)),                               # (epsilon/eta)**2 overflows
+        (10**36, {}),                                        # L**9 is beyond any float
+        (4, dict(ratio=1e300, eta=1e-10)),                   # T bound is inf
+        (1, dict(epsilon=1e-300)),                           # Gamma bound divides by 0
+        (4, dict(ions=[synthetic_ion(Gamma33=1e200)], n_ops=1e6)),  # Gamma33**2 overflows
+        (4, dict(ions=[synthetic_ion(Gamma22=1e300, Delta2=1e-10)], n_ops=1e6)),  # p2 is inf
+    ])
+    def test_overflow_raises(self, L, kwargs):
+        with pytest.raises(ValueError, match="float range"):
+            feasibility_report([L], **kwargs)
 
     @pytest.mark.parametrize("name", ["epsilon", "eta", "ratio", "n_ops"])
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
