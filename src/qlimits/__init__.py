@@ -37,6 +37,18 @@ __all__ = [
 _CORE_NAMES = frozenset(__all__) - {"__version__"}
 
 
+def _json_excerpt(value, limit: int = 60) -> str:
+    """``value`` as JSON spells it, cut to ``limit`` characters, for input-error
+    messages; ``repr`` for what JSON cannot spell."""
+    import json
+
+    try:
+        text = json.dumps(value)
+    except (TypeError, ValueError):
+        text = repr(value)
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
 def __getattr__(name):
     if name in _CORE_NAMES:
         from . import core

@@ -33,6 +33,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from . import _json_excerpt
+
 if TYPE_CHECKING:
     import numpy as np
 
@@ -518,7 +520,7 @@ def telephone_exchange(users, request) -> ExchangeResult:
 def _int_list(value, what) -> list:
     """``value`` if it is a list of JSON integers (true and false are not), else ValueError."""
     if not isinstance(value, list) or not all(type(v) is int for v in value):
-        raise ValueError(f"{what} must be a list of integers, got {value!r}")
+        raise ValueError(f"{what} must be a list of integers, got {_json_excerpt(value)}")
     return value
 
 
@@ -537,7 +539,7 @@ def scenario_from_dict(data: dict) -> tuple[CatCollection, MeasurementSpec]:
         try:
             sign = entry["sign"]
             if sign not in ("+", "-") and not (type(sign) is int and sign in (1, -1)):
-                raise ValueError(f"sign must be '+', '-', 1 or -1, got {sign!r}")
+                raise ValueError(f"sign must be '+', '-', 1 or -1, got {_json_excerpt(sign)}")
             particles = _int_list(entry["particles"], "particles")
             bits = _int_list(entry["bits"], "bits")
             cats.append(CatState(tuple(particles), tuple(bits), sign))

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 
 import click
 
-from . import __version__
+from . import __version__, _json_excerpt
 
 if TYPE_CHECKING:
     from .core import DensityOperator
@@ -298,7 +298,7 @@ def cmd_budget(l_list, epsilon, eta, ratio, ions_path, n_ops, out):
 def _str_list(value, what) -> list:
     """``value`` if it is a list of strings, else ValueError."""
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ValueError(f"{what} must be a list of strings, got {value!r}")
+        raise ValueError(f"{what} must be a list of strings, got {_json_excerpt(value)}")
     return value
 
 
@@ -392,7 +392,7 @@ def _load_density(path) -> DensityOperator:
         raise ValueError("input needs 'matrix' ([[re, im] pairs]) and 'dims'")
     dims = data["dims"]
     if not isinstance(dims, list) or not all(type(d) is int for d in dims):
-        raise ValueError(f"dims must be a list of integers, got {dims!r}")
+        raise ValueError(f"dims must be a list of integers, got {_json_excerpt(dims)}")
     raw = data["matrix"]
     if not isinstance(raw, list) or not all(
         isinstance(row, list) and all(_is_number_pair(cell) for cell in row) for row in raw

@@ -11,15 +11,20 @@ Each solve goes to the cheapest exact route that applies:
   (Horodecki, Horodecki & Horodecki, PLA 223, 1 (1996)).  The closest
   state is sigma itself, or, when the partial transpose dips below 0 by
   eps, (1 - q) sigma + q I/d with the smallest q that makes it PPT; the
-  value is then at most ln(1 + d eps).
+  value is then at most ln(1 + d eps);
+* an NPT two-qubit state whose marginals are both within 1e-12 of I/2
+  is Bell-diagonal up to local unitaries (R. & M. Horodecki, PRA 54,
+  1838 (1996)), and E = ln 2 + F ln F + (1 - F) ln(1 - F) for its top
+  eigenvalue F > 1/2 (Vedral & Plenio, PRA 57, 1619 (1998)).
 
 No closed form is known otherwise, so the minimum is searched
 numerically: separable states are parametrized as convex mixtures of K
 product pure states and optimized by one projected gradient descent on
-the weights and local states, interleaved with best-product-direction
-steps.  The descent starts from sigma dephased in the eigenbases of its
-marginals, a separable state no farther from sigma than the product of
-its marginals, so the result never exceeds the feasible-point bound
+the weights and local states, with Barzilai-Borwein (spectral) step
+sizes, interleaved with best-product-direction steps.  The descent
+starts from sigma dephased in the eigenbases of its marginals, a
+separable state no farther from sigma than the product of its
+marginals, so the result never exceeds the feasible-point bound
 S(sigma || sigma_A (x) sigma_B).  Because every iterate is separable,
 the returned value is always an upper bound on the true minimum.
 
@@ -76,17 +81,22 @@ MAX_TOTAL_DIM = 16
 
 # Optimizer schedule, part of the deterministic contract: the iteration
 # cap of the descent, the per-step gain that resets the stall counter,
-# and the spacing of best-product-direction steps.
+# the spacing of best-product-direction steps, and how many halved
+# trials a gradient step may take.
 _MAX_ITERS = 3000
 _TOL = 1e-8
 _DIRECTION_EVERY = 4
+_TRIALS = 30
 
 # Closed-form routes: a spectrum within _PURE_TOL of 1 counts as pure, a
 # partial transpose no lower than -_PPT_TOL as positive; the PPT test
-# certifies separability only up to total dimension _PPT_MAX_DIM.
+# certifies separability only up to total dimension _PPT_MAX_DIM.  A
+# two-qubit marginal within _MARGINAL_TOL of I/2 counts as maximally mixed.
 _PURE_TOL = 1e-12
 _PPT_TOL = 1e-12
 _PPT_MAX_DIM = 6
+_MARGINAL_TOL = 1e-12
+_CLOSED_FORMS = ("pure", "ppt", "bell_diagonal")
 
 
 def _n_terms(dims) -> int:
@@ -115,13 +125,13 @@ def _separable_state(w, a, b, dims) -> DensityOperator:
 class EntanglementResult:
     """Measure value in nats plus optimizer diagnostics.
 
-    ``stop_reason`` names the route that produced the value: ``"pure"``
-    or ``"ppt"`` for the closed forms (no iterations), or how the
-    search's one descent ended: ``"stall"`` (three iterations in a row
-    gained at most 1e-8) or ``"max_iters"`` (the 3000-iteration cap).
-    ``converged`` and ``restarts_used`` (0 for a closed form, else 1)
-    are derived from it; the CLI reports them as ``"converged"`` and
-    ``"restarts"``.
+    ``stop_reason`` names the route that produced the value: ``"pure"``,
+    ``"ppt"`` or ``"bell_diagonal"`` for the closed forms (no
+    iterations), or how the search's one descent ended: ``"stall"``
+    (three iterations in a row gained at most 1e-8) or ``"max_iters"``
+    (the 3000-iteration cap).  ``converged`` and ``restarts_used`` (0
+    for a closed form, else 1) are derived from it; the CLI reports
+    them as ``"converged"`` and ``"restarts"``.
     """
 
     value: float
@@ -136,7 +146,7 @@ class EntanglementResult:
 
     @property
     def restarts_used(self) -> int:
-        return 0 if self.stop_reason in ("pure", "ppt") else 1
+        return 0 if self.stop_reason in _CLOSED_FORMS else 1
 
     @property
     def value_bits(self) -> float:
@@ -239,10 +249,16 @@ def _best_product_direction(gradient, dims, seed, rng):
 
 
 def _descend(sigma_mat, sigma_term, dims, w, a, b, rng):
-    """Projected gradient descent with periodic direction search.
+    """Projected gradient descent with spectral steps and periodic direction search.
 
     The mixture is carried as plain arrays: weights ``w`` and the
     party-A and party-B local states ``a`` and ``b``, one row per term.
+    Each gradient step first tries the Barzilai-Borwein step <s,s>/<s,y>
+    (Barzilai & Borwein, IMA J. Numer. Anal. 8, 141 (1988)), where s and
+    y are the changes of (w, a, b) and of their gradients over the last
+    accepted gradient step; without such a pair (at the start, after a
+    direction step) or with <s,y> <= 0 it tries the last accepted step.
+    A trial is halved until the objective strictly decreases.
     Returns (f, (w, a, b), history, iterations, stop_reason).
     """
     psi = _product_vectors(a, b)
@@ -250,6 +266,7 @@ def _descend(sigma_mat, sigma_term, dims, w, a, b, rng):
     gradient = _gradient(spectrum)
     history = [f]
     step = 1.0
+    previous = None  # (w, a, b) and their gradients before the last gradient step
     stall = 0
     d_a, d_b = dims
     for iterations in range(1, _MAX_ITERS + 1):
@@ -257,19 +274,26 @@ def _descend(sigma_mat, sigma_term, dims, w, a, b, rng):
         grad_w = np.einsum("ki,ij,kj->k", psi.conj(), gradient, psi).real
         grad_a = w[:, None] * np.einsum("kab,kb->ka", g_psi, b.conj())
         grad_b = w[:, None] * np.einsum("kab,ka->kb", g_psi, a.conj())
-        improved = False
         alpha = step
-        for _ in range(12):
+        if previous is not None:
+            s = [new - old for new, old in zip((w, a, b), previous[0])]
+            y = [new - old for new, old in zip((grad_w, grad_a, grad_b), previous[1])]
+            sy = sum(np.vdot(si, yi).real for si, yi in zip(s, y))
+            if sy > 0.0:
+                alpha = sum(np.vdot(si, si).real for si in s) / sy
+        improved = False
+        for _ in range(_TRIALS):
             w_t = _project_simplex(w - alpha * grad_w)
             a_t = _normalize_rows(a - alpha * grad_a)
             b_t = _normalize_rows(b - alpha * grad_b)
             psi_t = _product_vectors(a_t, b_t)
             f_trial, spectrum = _objective(sigma_mat, sigma_term, _mixture_density(w_t, psi_t))
             if f_trial < f - 1e-14:
+                previous = ((w, a, b), (grad_w, grad_a, grad_b))
                 w, a, b, psi, f = w_t, a_t, b_t, psi_t, f_trial
                 gradient = _gradient(spectrum)
                 history.append(f)
-                step = alpha * 1.5
+                step = alpha
                 improved = True
                 break
             alpha *= 0.5
@@ -296,6 +320,7 @@ def _descend(sigma_mat, sigma_term, dims, w, a, b, rng):
                     w, a, b, psi, f = w_t, a_t, b_t, psi_t, f_trial
                     gradient = _gradient(spectrum)
                     history.append(f)
+                    previous = None
                     improved = True
                     break
         # an accepted step always follows the start, so history[-2] exists
@@ -335,8 +360,10 @@ def relative_entropy_of_entanglement(sigma: DensityOperator) -> EntanglementResu
     of the Schmidt weights; PPT inputs in 2x2 and 2x3 (partial-transpose
     spectrum >= -1e-12) return S(sigma || rho') for the nearest PPT
     mixture rho' of sigma and white noise, which is exactly 0 when the
-    partial transpose is positive.  Both report no restarts and no
-    iterations.  Every other input runs one deterministic descent.
+    partial transpose is positive; NPT 2x2 inputs with maximally mixed
+    marginals return the Bell-diagonal closed form.  These report no
+    restarts and no iterations.  Every other input runs one
+    deterministic descent.
     ``stop_reason`` names the route, and the closest separable state is
     returned either way.
     """
@@ -350,6 +377,8 @@ def relative_entropy_of_entanglement(sigma: DensityOperator) -> EntanglementResu
         gamma_min = float(np.linalg.eigvalsh(gamma)[0])
         if gamma_min >= -_PPT_TOL:
             return _ppt_closed_form(sigma, gamma_min)
+        if sigma.dims == (2, 2) and _marginals_maximally_mixed(sigma.matrix):
+            return _bell_diagonal_closed_form(sigma, float(lam[-1]), vecs[:, -1])
     return _search(sigma)
 
 
@@ -377,6 +406,33 @@ def _ppt_closed_form(sigma: DensityOperator, gamma_min: float) -> EntanglementRe
     q = -gamma_min * d / (1.0 - gamma_min * d)
     closest = DensityOperator((1.0 - q) * sigma.matrix + q * np.eye(d) / d, sigma.dims)
     return EntanglementResult(quantum_relative_entropy(sigma, closest), closest, "ppt")
+
+
+def _marginals_maximally_mixed(matrix) -> bool:
+    """Both marginals of a two-qubit matrix are within _MARGINAL_TOL of I/2."""
+    t = matrix.reshape(2, 2, 2, 2)
+    half = np.eye(2) / 2.0
+    return all(
+        np.abs(marginal - half).max() <= _MARGINAL_TOL
+        for marginal in (np.einsum("ikjk->ij", t), np.einsum("kikj->ij", t))
+    )
+
+
+def _bell_diagonal_closed_form(sigma: DensityOperator, fidelity: float, top) -> EntanglementResult:
+    """ln 2 + F ln F + (1 - F) ln(1 - F) for an NPT two-qubit input with maximally
+    mixed marginals, whose top eigenvalue is F > 1/2 with eigenvector ``top``.
+
+    Local unitaries take such a state to a Bell-diagonal one (R. & M.
+    Horodecki, PRA 54, 1838 (1996)), whose closest separable state
+    lowers the top Bell weight to 1/2 and rescales the others
+    (Vedral & Plenio, PRA 57, 1619 (1998)):
+    rho* = P/2 + (sigma - F P) / (2 (1 - F)) for P = |top><top|.
+    """
+    projector = np.outer(top, top.conj())
+    rest = (sigma.matrix - fidelity * projector) / (2.0 * (1.0 - fidelity))
+    closest = DensityOperator(projector / 2.0 + rest, sigma.dims)
+    value = LN2 + fidelity * math.log(fidelity) + (1.0 - fidelity) * math.log(1.0 - fidelity)
+    return EntanglementResult(value, closest, "bell_diagonal")
 
 
 def _search(sigma: DensityOperator) -> EntanglementResult:

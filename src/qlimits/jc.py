@@ -351,15 +351,22 @@ def coherent_frequency(n: int, g: float, a_n: float) -> float:
     return math.sqrt(disc)
 
 
-def _population_term(n: int, a_n: float, tau: np.ndarray) -> np.ndarray:
-    """cos(B_n tau) exp(-A_n tau) in units of g, continued through overdamping."""
+def _population_term(
+    n: int, a_n: float, tau: np.ndarray, out: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """cos(B_n tau) exp(-A_n tau) in units of g, continued through overdamping,
+    written into ``out``; ``scratch`` is a second buffer of the same shape."""
     disc = 4.0 * (n + 1) - a_n * a_n
     if disc > 0.0:
-        return np.cos(math.sqrt(disc) * tau) * np.exp(-a_n * tau)
+        np.cos(np.multiply(math.sqrt(disc), tau, out=out), out=out)
+        np.exp(np.multiply(-a_n, tau, out=scratch), out=scratch)
+        return np.multiply(out, scratch, out=out)
     # Overdamped doublet: the two relaxation roots -A +- sqrt(A^2 - 4(n+1))
     # are real; the stable form of cosh(b tau) exp(-A tau).
     b = math.sqrt(-disc)
-    return 0.5 * (np.exp((b - a_n) * tau) + np.exp(-(b + a_n) * tau))
+    np.exp(np.multiply(b - a_n, tau, out=out), out=out)
+    np.exp(np.multiply(-(b + a_n), tau, out=scratch), out=scratch)
+    return np.multiply(0.5, np.add(out, scratch, out=out), out=out)
 
 
 def population_lower(
@@ -377,11 +384,12 @@ def population_lower(
     if tau.size == 0:
         raise ValueError("empty time grid")
     acc = np.zeros_like(tau)
+    term, scratch = np.empty_like(tau), np.empty_like(tau)
     for n, p in enumerate(dist.p_n):
         if p == 0.0:
             continue
         a_n = damping_rate_normalized(model, n, params)
-        acc += p * _population_term(n, a_n, tau)
+        acc += np.multiply(p, _population_term(n, a_n, tau, term, scratch), out=term)
     return 0.5 * (1.0 + acc)
 
 

@@ -420,6 +420,24 @@ class TestSwap:
         assert result.exit_code == 3, result.output
         assert "bad scenario" in result.output
 
+    @pytest.mark.parametrize("text, spelling", [
+        ('{"cats": [{"particles": [Infinity, 2], "bits": [0, 0], "sign": "+"}], "measure": [2]}',
+         "got [Infinity, 2]"),
+        ('{"cats": [{"particles": [1, 2], "bits": [0, 0], "sign": true}], "measure": [1]}',
+         "got true"),
+        ('{"cats": [{"particles": [1, 2], "bits": [0, 0], "sign": "+"}], "measure": ['
+         + ", ".join(["0.5"] * 10**6) + "]}",
+         "got [0.5, 0.5, "),
+        ('{"users": ["A", null], "request": ["A"]}', 'got ["A", null]'),
+    ], ids=["infinity", "true", "million-floats", "null-user"])
+    def test_bad_values_echo_their_json_bounded(self, runner, tmp_path, text, spelling):
+        scenario = tmp_path / "bad.json"
+        scenario.write_text(text)
+        result = runner.invoke(main, ["swap", str(scenario)])
+        assert result.exit_code == 3, result.output
+        assert spelling in result.stderr
+        assert len(result.stderr.encode()) < 1024
+
     def test_integer_signs_accepted(self, runner, tmp_path):
         scenario = tmp_path / "swap.json"
         scenario.write_text('{"cats": [{"particles": [1, 2], "bits": [0, 0], "sign": -1}, '
@@ -582,10 +600,15 @@ class TestRee:
         assert sorted(data) == ["converged", "restarts", "value_bits", "value_nats"]
 
     def test_seed_env_fallback(self, runner, tmp_path, monkeypatch):
-        # an NPT Werner state (p = 0.8) has no closed form, so both runs
-        # search; the seed only drives --axioms and must not move a solve
-        state = tmp_path / "werner.json"
-        matrix = 0.8 * np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2 + 0.2 * np.eye(4) / 4
+        # an NPT state with unequal marginals (Werner p = 0.8 tilted toward
+        # |00>) has no closed form, so both runs search; the seed only drives
+        # --axioms and must not move a solve
+        from qlimits.core import DensityOperator
+        from qlimits.entanglement import relative_entropy_of_entanglement
+
+        state = tmp_path / "tilted.json"
+        matrix = 0.95 * (0.8 * np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2 + 0.2 * np.eye(4) / 4)
+        matrix[0, 0] += 0.05
         state.write_text(json.dumps({"matrix": [[[x, 0.0] for x in row] for row in matrix.tolist()],
                                      "dims": [2, 2]}))
         a = invoke(runner, "ree", str(state)).output
@@ -594,9 +617,18 @@ class TestRee:
         assert a == b
         data = json.loads(a)
         assert data["restarts"] == 1
-        assert data["value_nats"] == pytest.approx(
-            math.log(2) + 0.85 * math.log(0.85) + 0.15 * math.log(0.15), abs=2e-5
-        )
+        expected = relative_entropy_of_entanglement(DensityOperator(matrix, (2, 2)))
+        assert expected.stop_reason == "stall"
+        assert data["value_nats"] == float(format(expected.value, ".12g"))
+
+    def test_bad_dims_echo_their_json_bounded(self, runner, tmp_path):
+        state = tmp_path / "bad.json"
+        dims = "[true, " + ", ".join(["1e308"] * 10**5) + "]"
+        state.write_text('{"matrix": [[[1.0, 0.0]]], "dims": ' + dims + "}")
+        result = runner.invoke(main, ["ree", str(state)])
+        assert result.exit_code == 3, result.output
+        assert "got [true, 1e+308, " in result.stderr
+        assert len(result.stderr.encode()) < 1024
 
     @pytest.mark.parametrize("content", [
         {"matrix": [[[1.0, 0.0]]], "dims": 1},

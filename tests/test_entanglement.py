@@ -47,7 +47,7 @@ from qlimits.entanglement import (
     _separable_state,
 )
 
-from helpers import random_density_operator, random_pure_state
+from helpers import random_density_operator, random_pure_state, random_unitary
 
 LN2 = math.log(2.0)
 
@@ -114,6 +114,18 @@ def werner_state(p):
 def werner_fidelity(f):
     """Werner state of singlet-class fidelity f; PPT exactly when f <= 1/2."""
     return werner_state((4.0 * f - 1.0) / 3.0)
+
+
+def tilted_werner(f, eps):
+    """(1 - eps) Werner(f) + eps |00><00|: NPT for f > 1/2, as |00> is orthogonal
+    to the negative eigenvector of the partial transpose, with unequal marginals."""
+    mix = (1.0 - eps) * werner_fidelity(f).matrix
+    mix[0, 0] += eps
+    return DensityOperator(mix, (2, 2))
+
+
+def bell_diagonal_ree(f):
+    return LN2 + f * math.log(f) + (1.0 - f) * math.log(1.0 - f)
 
 
 def partial_transpose_min(sigma):
@@ -195,13 +207,14 @@ class TestRelativeEntropyOfEntanglement:
         assert result.value == pytest.approx(recomputed, abs=1e-10)
 
     def test_objective_history_monotone(self):
-        sigma = werner_state(0.9)
+        sigma = tilted_werner(0.9, 0.05)
         result = relative_entropy_of_entanglement(sigma)
         history = np.asarray(result.objective_history)
+        assert result.stop_reason == "stall" and history.size > 10
         assert (np.diff(history) <= 1e-12).all()
 
     def test_reproducible_with_same_seed(self):
-        sigma = werner_state(0.6)
+        sigma = tilted_werner(0.6, 0.05)
         a = relative_entropy_of_entanglement(sigma)
         b = relative_entropy_of_entanglement(sigma)
         assert a.value == b.value
@@ -278,9 +291,50 @@ class TestClosedForms:
         assert result.value == pytest.approx(recomputed, abs=1e-10)
 
     def test_just_entangled_werner_searches(self):
+        # a just-entangled Werner state has maximally mixed marginals, so it
+        # takes the Bell-diagonal closed form; tilted toward |00> it searches
         result = relative_entropy_of_entanglement(werner_fidelity(0.5 + 1e-3))
+        assert result.stop_reason == "bell_diagonal"
+        assert result.restarts_used == 0 and result.iterations == 0
+        assert result.value == pytest.approx(bell_diagonal_ree(0.5 + 1e-3), abs=1e-15)
+        sigma = tilted_werner(0.5 + 1e-3, 1e-3)
+        assert partial_transpose_min(sigma) < -1e-4
+        result = relative_entropy_of_entanglement(sigma)
         assert result.restarts_used == 1
         assert result.stop_reason in ("stall", "max_iters")
+
+    def test_lu_rotated_bell_diagonal(self):
+        # Bell-diagonal states turned by random local unitaries keep their
+        # maximally mixed marginals, so the closed form applies
+        rng = np.random.default_rng(7)
+        bell_basis = np.array(
+            [[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]], dtype=complex
+        ) / math.sqrt(2.0)
+        for _ in range(4):
+            f = rng.uniform(0.52, 0.97)
+            weights = np.concatenate([[f], rng.dirichlet(np.ones(3)) * (1.0 - f)])
+            rng.shuffle(weights)
+            u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
+            mat = u @ (bell_basis.T * weights) @ bell_basis.conj() @ u.conj().T
+            sigma = DensityOperator(mat, (2, 2))
+            result = relative_entropy_of_entanglement(sigma)
+            exact = bell_diagonal_ree(f)
+            assert result.stop_reason == "bell_diagonal"
+            assert result.restarts_used == 0 and result.iterations == 0
+            assert abs(result.value - exact) <= 1e-12
+            assert abs(quantum_relative_entropy(sigma, result.closest_state) - exact) <= 1e-12
+            assert partial_transpose_min(result.closest_state) >= -1e-12
+            # the descent, run on its own, lands just above the closed form
+            assert 0.0 <= _search(sigma).value - exact <= 3e-6
+
+    def test_marginal_off_by_1e_9_searches(self):
+        mat = werner_fidelity(0.8).matrix.copy()
+        mat[0, 0] += 1e-9
+        mat[3, 3] -= 1e-9
+        result = relative_entropy_of_entanglement(DensityOperator(mat, (2, 2)))
+        assert result.restarts_used == 1
+        assert result.stop_reason in ("stall", "max_iters")
+        assert result.value == pytest.approx(bell_diagonal_ree(0.8), abs=2e-5)
 
     def test_no_ppt_shortcut_above_dimension_six(self):
         # PPT does not imply separable in 4x4, so I/16 is searched; the
@@ -411,6 +465,15 @@ class TestSearchLoop:
             exact = LN2 + f * math.log(f) + (1.0 - f) * math.log(1.0 - f)
             assert abs(result.value - exact) <= 2e-5, f
             assert result.objective_history[0] - result.value >= 1e-3, f
+
+    def test_spectral_steps_on_a_4x4_state(self):
+        # a full-rank 4x4 state runs to the iteration cap; with at most 12
+        # halved trials per gradient step the spectral descent stalls at
+        # 0.0704 after 275 iterations, above the 0.063803 of the previous
+        # step rule (last accepted step x 1.5)
+        sigma = random_density_operator(np.random.default_rng(5), (4, 4))
+        result = _search(sigma)
+        assert result.value <= 0.063803
 
     def test_rank_deficient_branch(self):
         # a local-instrument branch with two eigenvalues below 5e-3: there

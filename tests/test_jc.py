@@ -332,6 +332,37 @@ class TestPopulationLower:
         with pytest.raises(ValueError, match="empty"):
             population_lower([], VibrationalDistribution.fock(0), DecoherenceParams(0.1, 0.4), DI)
 
+    @staticmethod
+    def reference_population_lower(tau, dist, params, model):
+        # one fresh array per level and operation, as before the work buffers
+        acc = np.zeros_like(tau)
+        for n, p in enumerate(dist.p_n):
+            if p == 0.0:
+                continue
+            a_n = damping_rate_normalized(model, n, params)
+            disc = 4.0 * (n + 1) - a_n * a_n
+            if disc > 0.0:
+                term = np.cos(math.sqrt(disc) * tau) * np.exp(-a_n * tau)
+            else:
+                b = math.sqrt(-disc)
+                term = 0.5 * (np.exp((b - a_n) * tau) + np.exp(-(b + a_n) * tau))
+            acc += p * term
+        return 0.5 * (1.0 + acc)
+
+    @pytest.mark.parametrize("dist, gamma0, d, model, tmax, points", [
+        ("thermal:12.5", 0.2, 2.4, VI, 40.0, 20001),
+        ("coherent:50", 0.127, 0.4, DI, 25.0, 20001),
+        ("coherent:3", 0.05, 0.4, VI, 60.0, 1001),
+        ("thermal:4", 3.0, 1.5, DI, 30.0, 997),  # overdamped doublets
+        ("fock:7", 0.3, 0.0, DI, 10.0, 1),
+    ])
+    def test_work_buffers_are_bit_identical(self, dist, gamma0, d, model, tmax, points):
+        dist = VibrationalDistribution.parse(dist)
+        params = DecoherenceParams(gamma0, d)
+        tau = np.linspace(0.0, tmax, points)
+        got = population_lower(tau, dist, params, model)
+        assert np.array_equal(got, self.reference_population_lower(tau, dist, params, model))
+
 
 class TestDephasingOracle:
     def test_no_damping_matches_closed_form(self):
