@@ -37,8 +37,8 @@ __all__ = [
 _CORE_NAMES = frozenset(__all__) - {"__version__"}
 
 
-def _json_excerpt(value, limit: int = 60) -> str:
-    """``value`` as JSON spells it, cut to ``limit`` characters, for input-error
+def _json_excerpt(value) -> str:
+    """``value`` as JSON spells it, cut to 60 characters, for input-error
     messages; ``repr`` for what JSON cannot spell."""
     import json
 
@@ -46,7 +46,7 @@ def _json_excerpt(value, limit: int = 60) -> str:
         text = json.dumps(value)
     except (TypeError, ValueError):
         text = repr(value)
-    return text if len(text) <= limit else text[:limit] + "..."
+    return text if len(text) <= 60 else text[:60] + "..."
 
 
 def __getattr__(name):

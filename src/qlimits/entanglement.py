@@ -378,7 +378,7 @@ def relative_entropy_of_entanglement(sigma: DensityOperator) -> EntanglementResu
         if gamma_min >= -_PPT_TOL:
             return _ppt_closed_form(sigma, gamma_min)
         if sigma.dims == (2, 2) and _marginals_maximally_mixed(sigma.matrix):
-            return _bell_diagonal_closed_form(sigma, float(lam[-1]), vecs[:, -1])
+            return _bell_diagonal_closed_form(sigma, lam, vecs)
     return _search(sigma)
 
 
@@ -418,19 +418,27 @@ def _marginals_maximally_mixed(matrix) -> bool:
     )
 
 
-def _bell_diagonal_closed_form(sigma: DensityOperator, fidelity: float, top) -> EntanglementResult:
+def _bell_diagonal_closed_form(sigma: DensityOperator, lam, vecs) -> EntanglementResult:
     """ln 2 + F ln F + (1 - F) ln(1 - F) for an NPT two-qubit input with maximally
-    mixed marginals, whose top eigenvalue is F > 1/2 with eigenvector ``top``.
+    mixed marginals, whose top eigenvalue ``lam[-1]`` is F > 1/2.
 
     Local unitaries take such a state to a Bell-diagonal one (R. & M.
     Horodecki, PRA 54, 1838 (1996)), whose closest separable state
-    lowers the top Bell weight to 1/2 and rescales the others
-    (Vedral & Plenio, PRA 57, 1619 (1998)):
-    rho* = P/2 + (sigma - F P) / (2 (1 - F)) for P = |top><top|.
+    lowers the top Bell weight to 1/2 and rescales the others to sum to
+    1/2 (Vedral & Plenio, PRA 57, 1619 (1998)).  The closest state is
+    built in the eigenbasis ``vecs`` of sigma; eigenvalues below zero by
+    rounding are clipped first, as rescaling by 1/(2(1 - F)) would
+    magnify them; near F = 1 it also magnifies rounding in the
+    eigenvectors of near-degenerate eigenvalues, so at 1 - F = 1e-9 the
+    partial transpose of the closest state may dip to about -1e-10.
+    Should no positive weight remain off the top (sigma pure within
+    rounding), the other three share 1/2 evenly.
     """
-    projector = np.outer(top, top.conj())
-    rest = (sigma.matrix - fidelity * projector) / (2.0 * (1.0 - fidelity))
-    closest = DensityOperator(projector / 2.0 + rest, sigma.dims)
+    fidelity = float(lam[-1])
+    rest = np.clip(lam[:-1], 0.0, None)
+    total = float(rest.sum())
+    mu = np.append(rest / (2.0 * total) if total > 0.0 else np.full(3, 1.0 / 6.0), 0.5)
+    closest = DensityOperator((vecs * mu) @ vecs.conj().T, sigma.dims)
     value = LN2 + fidelity * math.log(fidelity) + (1.0 - fidelity) * math.log(1.0 - fidelity)
     return EntanglementResult(value, closest, "bell_diagonal")
 

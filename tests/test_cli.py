@@ -602,22 +602,34 @@ class TestRee:
     def test_seed_env_fallback(self, runner, tmp_path, monkeypatch):
         # an NPT state with unequal marginals (Werner p = 0.8 tilted toward
         # |00>) has no closed form, so both runs search; the seed only drives
-        # --axioms and must not move a solve
+        # --axioms and must not move a solve.  The Werner state itself takes
+        # the Bell-diagonal closed form, ln 2 + F ln F + (1 - F) ln(1 - F)
+        # at F = 0.85.
         from qlimits.core import DensityOperator
         from qlimits.entanglement import relative_entropy_of_entanglement
 
-        state = tmp_path / "tilted.json"
-        matrix = 0.95 * (0.8 * np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2 + 0.2 * np.eye(4) / 4)
-        matrix[0, 0] += 0.05
-        state.write_text(json.dumps({"matrix": [[[x, 0.0] for x in row] for row in matrix.tolist()],
-                                     "dims": [2, 2]}))
-        a = invoke(runner, "ree", str(state)).output
-        monkeypatch.setenv("QLIMITS_SEED", "7")
-        b = invoke(runner, "ree", str(state)).output
-        assert a == b
-        data = json.loads(a)
+        werner = 0.8 * np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2 + 0.2 * np.eye(4) / 4
+        tilted = 0.95 * werner
+        tilted[0, 0] += 0.05
+        outputs = {}
+        for name, matrix in (("werner", werner), ("tilted", tilted)):
+            state = tmp_path / f"{name}.json"
+            state.write_text(json.dumps({"matrix": [[[x, 0.0] for x in row] for row in matrix.tolist()],
+                                         "dims": [2, 2]}))
+            monkeypatch.delenv("QLIMITS_SEED", raising=False)
+            a = invoke(runner, "ree", str(state)).output
+            monkeypatch.setenv("QLIMITS_SEED", "7")
+            b = invoke(runner, "ree", str(state)).output
+            assert a == b
+            outputs[name] = json.loads(a)
+        data = outputs["werner"]
+        assert data["restarts"] == 0
+        assert data["value_nats"] == pytest.approx(
+            math.log(2) + 0.85 * math.log(0.85) + 0.15 * math.log(0.15), abs=1e-12
+        )
+        data = outputs["tilted"]
         assert data["restarts"] == 1
-        expected = relative_entropy_of_entanglement(DensityOperator(matrix, (2, 2)))
+        expected = relative_entropy_of_entanglement(DensityOperator(tilted, (2, 2)))
         assert expected.stop_reason == "stall"
         assert data["value_nats"] == float(format(expected.value, ".12g"))
 

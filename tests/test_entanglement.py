@@ -128,6 +128,15 @@ def bell_diagonal_ree(f):
     return LN2 + f * math.log(f) + (1.0 - f) * math.log(1.0 - f)
 
 
+BELL_BASIS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / math.sqrt(2.0)
+
+
+def bell_diagonal_state(weights, u=np.eye(4)):
+    """sum_i weights[i] |Bell_i><Bell_i|, turned by the two-qubit unitary u."""
+    mat = u @ (BELL_BASIS.T * np.asarray(weights, dtype=float)) @ BELL_BASIS @ u.conj().T
+    return DensityOperator(mat, (2, 2))
+
+
 def partial_transpose_min(sigma):
     d_a, d_b = sigma.dims
     d = d_a * d_b
@@ -181,10 +190,14 @@ class TestRelativeEntropyOfEntanglement:
         assert result.converged
 
     def test_werner_against_independent_oracle(self):
-        sigma = werner_state(0.8)
-        ours = relative_entropy_of_entanglement(sigma).value
-        oracle = coarse_ree_oracle(sigma.matrix)
-        assert ours == pytest.approx(oracle, abs=1e-3)
+        # the Werner state takes the Bell-diagonal closed form; tilted
+        # toward |00> its marginals differ from I/2 and it is searched
+        for sigma, route in ((werner_state(0.8), "bell_diagonal"),
+                             (tilted_werner(0.85, 0.05), "stall")):
+            result = relative_entropy_of_entanglement(sigma)
+            assert result.stop_reason == route
+            oracle = coarse_ree_oracle(sigma.matrix)
+            assert result.value == pytest.approx(oracle, abs=1e-3)
 
     def test_feasible_point_bound(self):
         rng = np.random.default_rng(11)
@@ -200,9 +213,10 @@ class TestRelativeEntropyOfEntanglement:
 
     def test_closest_state_consistency(self):
         # reported value equals S(sigma || closest_state) for the
-        # returned separable state
-        sigma = werner_state(0.7)
+        # returned separable state, at the end of a descent
+        sigma = tilted_werner(0.7, 0.05)
         result = relative_entropy_of_entanglement(sigma)
+        assert result.stop_reason == "stall"
         recomputed = quantum_relative_entropy(sigma, result.closest_state)
         assert result.value == pytest.approx(recomputed, abs=1e-10)
 
@@ -307,16 +321,12 @@ class TestClosedForms:
         # Bell-diagonal states turned by random local unitaries keep their
         # maximally mixed marginals, so the closed form applies
         rng = np.random.default_rng(7)
-        bell_basis = np.array(
-            [[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]], dtype=complex
-        ) / math.sqrt(2.0)
         for _ in range(4):
             f = rng.uniform(0.52, 0.97)
             weights = np.concatenate([[f], rng.dirichlet(np.ones(3)) * (1.0 - f)])
             rng.shuffle(weights)
             u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
-            mat = u @ (bell_basis.T * weights) @ bell_basis.conj() @ u.conj().T
-            sigma = DensityOperator(mat, (2, 2))
+            sigma = bell_diagonal_state(weights, u)
             result = relative_entropy_of_entanglement(sigma)
             exact = bell_diagonal_ree(f)
             assert result.stop_reason == "bell_diagonal"
@@ -326,6 +336,27 @@ class TestClosedForms:
             assert partial_transpose_min(result.closest_state) >= -1e-12
             # the descent, run on its own, lands just above the closed form
             assert 0.0 <= _search(sigma).value - exact <= 3e-6
+
+    @pytest.mark.parametrize("weights, rotated, pt_floor", [
+        # an eigenvalue 6e-11 below zero, allowed by DensityOperator
+        ((0.9, 0.1 + 6e-11, 0.0, -6e-11), False, -1e-12),
+        # rescaling by 1/(2(1 - F)) = 5e8 magnifies rounding in the
+        # eigenvectors of the two near-zero eigenvalues
+        ((1.0 - 1e-9, 1e-9, 0.0, 0.0), True, -1e-9),
+        # no positive weight off the top: the other three share 1/2
+        ((1.0 - 1.2e-12, -1e-13, -1e-13, -1e-13), False, -1e-12),
+    ], ids=["negative-eigenvalue", "lu-rotated-near-pure", "top-only"])
+    def test_bell_diagonal_rounding_edges(self, weights, rotated, pt_floor):
+        u = np.eye(4)
+        if rotated:
+            rng = np.random.default_rng(3)
+            u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
+        sigma = bell_diagonal_state(weights, u)
+        result = relative_entropy_of_entanglement(sigma)
+        assert result.stop_reason == "bell_diagonal"
+        assert abs(result.value - bell_diagonal_ree(weights[0])) <= 1e-12
+        assert abs(quantum_relative_entropy(sigma, result.closest_state) - result.value) <= 1e-10
+        assert partial_transpose_min(result.closest_state) >= pt_floor
 
     def test_marginal_off_by_1e_9_searches(self):
         mat = werner_fidelity(0.8).matrix.copy()
