@@ -46,14 +46,12 @@ __all__ = [
     "DenseOutcome",
     "ExchangeResult",
     "make_bell",
-    "canonicalize",
     "enumerate_outcomes",
     "project_outcome",
     "polygon_counts",
     "brute_force_oracle",
     "verify_against_oracle",
     "telephone_exchange",
-    "cat_dense_vector",
     "cats_dense_vector",
     "scenario_from_dict",
     "outcomes_to_jsonable",
@@ -64,6 +62,9 @@ __all__ = [
 BRUTE_FORCE_LIMIT = 14
 # Outcome lists longer than this are refused before they are enumerated.
 MAX_OUTCOMES = 2**16
+# Largest difference verify_against_oracle accepts in a probability or a
+# residual overlap.
+ORACLE_ATOL = 1e-10
 
 
 def _norm_sign(sign) -> int:
@@ -82,8 +83,8 @@ class CatState:
 
     Construction sorts particles by id, carries the bit assignment
     along, and complements all bits if needed so the lowest particle
-    holds bit 0.  Constructing *is* canonicalizing, which makes
-    :func:`canonicalize` idempotent.
+    holds bit 0.  Constructing *is* canonicalizing: rebuilding a cat
+    from its own fields returns an equal cat.
     """
 
     particles: tuple[int, ...]
@@ -123,11 +124,6 @@ def make_bell(i: int, j: int, u_i: int, u_j: int, sign) -> CatState:
     if i == j:
         raise ValueError(f"Bell state needs two distinct particles, got {i} twice")
     return CatState((i, j), (u_i, u_j), sign)
-
-
-def canonicalize(cat: CatState) -> CatState:
-    """Canonical representative of the cat's ray (idempotent)."""
-    return CatState(cat.particles, cat.bits, cat.sign)
 
 
 @dataclass(frozen=True)
@@ -172,10 +168,6 @@ class MeasurementSpec:
     @classmethod
     def of(cls, particles) -> "MeasurementSpec":
         return cls(frozenset(particles))
-
-    def per_cat_counts(self, coll: CatCollection) -> tuple[int, ...]:
-        """p_m: how many particles of each cat are selected."""
-        return tuple(sum(1 for p in cat.particles if p in self.selected) for cat in coll.cats)
 
 
 @dataclass(frozen=True)
@@ -345,11 +337,6 @@ def _cat_tensor(cat: CatState) -> np.ndarray:
     return t
 
 
-def cat_dense_vector(cat: CatState) -> np.ndarray:
-    """Normalized state vector of one cat over its sorted particles."""
-    return _cat_tensor(cat).reshape(-1)
-
-
 def cats_dense_vector(cats, order) -> np.ndarray:
     """Dense vector of a product of cats, axes arranged to ``order``."""
     import numpy as np
@@ -409,13 +396,11 @@ def brute_force_oracle(coll: CatCollection, spec: MeasurementSpec) -> list[Dense
     return outcomes
 
 
-def verify_against_oracle(
-    coll: CatCollection, spec: MeasurementSpec, *, atol: float = 1e-10
-) -> tuple[bool, str]:
+def verify_against_oracle(coll: CatCollection, spec: MeasurementSpec) -> tuple[bool, str]:
     """Compare symbolic outcomes against the dense oracle.
 
     Checks outcome support, probabilities and residual rays (up to
-    global phase).  Returns (ok, message).
+    global phase) to ``ORACLE_ATOL``.  Returns (ok, message).
     """
     import numpy as np
 
@@ -427,7 +412,7 @@ def verify_against_oracle(
     for sym, num in zip(symbolic, dense):
         if (sym.basis.bits, sym.basis.sign) != (num.basis.bits, num.basis.sign):
             return False, f"support mismatch at basis {sym.basis}"
-        if abs(sym.probability - num.probability) > atol:
+        if abs(sym.probability - num.probability) > ORACLE_ATOL:
             return (
                 False,
                 f"probability mismatch at {sym.basis}: {sym.probability} vs {num.probability}",
@@ -441,7 +426,7 @@ def verify_against_oracle(
             continue
         expected = cats_dense_vector(residual_cats, num.residual_particles)
         overlap = abs(np.vdot(expected, num.residual_vector))
-        if abs(overlap - 1.0) > atol:
+        if abs(overlap - 1.0) > ORACLE_ATOL:
             return False, f"residual ray mismatch at {sym.basis}: |overlap|={overlap!r}"
     total = sum(o.probability for o in symbolic)
     if abs(total - 1.0) > 1e-12:

@@ -74,6 +74,9 @@ def _write_output(text: str, out: str | None):
         with handle as fh:
             fh.write(text)
         os.replace(handle.name, path)
+    except OSError as exc:  # e.g. ``out`` names a directory
+        os.unlink(handle.name)
+        raise InputError(f"cannot write {out!r}: {exc}") from exc
     except BaseException:
         os.unlink(handle.name)
         raise
@@ -229,13 +232,19 @@ def cmd_jc(dist, model, gamma0, exponent_d, tmax, points, g_rad_s, oracle, out):
         )
     coupling = CouplingModel(model)
     grid = np.linspace(0.0, tmax, points)
-    p_down = population_lower(grid, distribution, params, coupling)
     columns = {"gt": grid}
-    if g_rad_s is not None:
-        columns["t_s"] = grid / g_rad_s
-    columns["p_down"] = p_down
-    if oracle:
-        columns["p_down_oracle"] = oracle_population_lower(grid, distribution, params, coupling)
+    try:
+        p_down = population_lower(grid, distribution, params, coupling)
+        if g_rad_s is not None:
+            with np.errstate(over="ignore"):
+                columns["t_s"] = grid / g_rad_s
+            if not math.isfinite(columns["t_s"][-1]):
+                raise ValueError("t_s = tmax / g leaves the float range")
+        columns["p_down"] = p_down
+        if oracle:
+            columns["p_down_oracle"] = oracle_population_lower(grid, distribution, params, coupling)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     # '%.12g' % x is format(x, '.12g'), nan, inf and -0.0 included
     row = ",".join(["%.12g"] * len(columns))
     body = "\n".join([row] * points) % tuple(np.column_stack(list(columns.values())).ravel().tolist())

@@ -35,8 +35,6 @@ __all__ = [
     "BoundValue",
     "ProbabilityValue",
     "GateErrorRate",
-    "AlgorithmCost",
-    "TrapParams",
     "IonSpecies",
     "BudgetRow",
     "EmissionBudget",
@@ -106,67 +104,16 @@ class ProbabilityValue:
 
 @dataclass(frozen=True)
 class GateErrorRate:
-    """Per-gate error rate compared against the threshold."""
+    """Per-gate error rate compared against ``GATE_ERROR_THRESHOLD``."""
 
     value: float
-    threshold: float = GATE_ERROR_THRESHOLD
 
     @property
     def within_threshold(self) -> bool:
-        return self.value <= self.threshold
+        return self.value <= GATE_ERROR_THRESHOLD
 
     def __float__(self) -> float:
         return self.value
-
-
-@dataclass(frozen=True)
-class AlgorithmCost:
-    """Algorithm-side constants: step constant epsilon and input size L."""
-
-    epsilon: float
-    L: int
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
-        if self.L < 1:
-            raise ValueError("L must be >= 1")
-
-    @property
-    def qubits_required(self) -> int:
-        return qubit_overhead(self.L)
-
-    def total_time(self, tau_el: float) -> float:
-        return total_time_simple(self.L, self.epsilon, tau_el)
-
-
-@dataclass(frozen=True)
-class TrapParams:
-    """Trap-side constants.
-
-    Only eta and the ratio Gamma_22/Omega_12^2 enter the budget
-    formulas; Omega_12 and Gamma_22 may be stored separately when known.
-    """
-
-    eta: float
-    ratio_gamma_over_omega2: float
-    omega12: float | None = None
-    gamma22: float | None = None
-
-    def __post_init__(self):
-        if self.eta <= 0 or self.ratio_gamma_over_omega2 <= 0:
-            raise ValueError("eta and ratio must be > 0")
-
-    def min_total_time(self, cost: AlgorithmCost) -> "BoundValue":
-        return min_total_time(cost.L, cost.epsilon, self.eta, self.ratio_gamma_over_omega2)
-
-    def max_decay_rate(self, cost: AlgorithmCost) -> "BoundValue":
-        return max_decay_rate(cost.L, cost.epsilon, self.eta, self.ratio_gamma_over_omega2)
-
-    def computation_time(self, cost: AlgorithmCost) -> float:
-        if self.omega12 is None:
-            raise ValueError("computation_time needs omega12")
-        return computation_time_ion_trap(cost.L, cost.epsilon, self.eta, self.omega12)
 
 
 ION_FIELDS = ("name", "Gamma22", "Gamma33", "Delta2", "Delta13", "omega12", "omega13", "beta")
@@ -372,13 +319,6 @@ class FeasibilityReport:
     @property
     def ion_data_missing(self) -> bool:
         return not self.ions
-
-    def error_rate_vs_operations(self, n_ops: float, ion_name: str, L: float) -> float:
-        """(p2 + p3)/N for one of the report's ions; monotone in N."""
-        for ion in self.ions:
-            if ion.name == ion_name:
-                return error_rate_vs_operations(n_ops, L, ion, self.eta)
-        raise KeyError(f"no ion named {ion_name!r} in this report")
 
     def to_json_dict(self) -> dict:
         return {

@@ -38,7 +38,6 @@ __all__ = [
     "CouplingModel",
     "DecoherenceParams",
     "VibrationalDistribution",
-    "DressedLabel",
     "OverdampedError",
     "jc_hamiltonian",
     "dressed_states",
@@ -49,7 +48,6 @@ __all__ = [
     "damping_rate_dimensional",
     "coherent_frequency",
     "population_lower",
-    "dephasing_oracle_evolve",
     "dephasing_oracle_trajectory",
     "oracle_population_lower",
     "dressed_coherence",
@@ -114,28 +112,6 @@ class DecoherenceParams:
         if self.temperature is None:
             raise ValueError("this operation needs the reservoir temperature")
         return self.g, self.temperature
-
-
-@dataclass(frozen=True)
-class DressedLabel:
-    """Doublet label: boson quantum number and +/- branch."""
-
-    n: int
-    branch: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("n must be >= 0")
-        if self.branch not in (+1, -1):
-            raise ValueError("branch must be +1 or -1")
-
-    def energy(self, g: float = 1.0) -> float:
-        """Eigenvalue of the exchange Hamiltonian, in units of hbar."""
-        return self.branch * g * math.sqrt(self.n + 1)
-
-    def state(self, n_levels: int | None = None) -> PureState:
-        pair = dressed_states(self.n, n_levels)
-        return pair[0] if self.branch > 0 else pair[1]
 
 
 def _too_many_levels(spec: str) -> ValueError:
@@ -292,10 +268,19 @@ def rate_exponent(model: CouplingModel, d: float) -> float:
 
 
 def damping_rate_normalized(model: CouplingModel, n: int, params: DecoherenceParams) -> float:
-    """Normalized damping rate A_n / g = gamma0 * (n+1)**exponent."""
+    """Normalized damping rate A_n / g = gamma0 * (n+1)**exponent.
+
+    Raises ValueError when the rate leaves the float range.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return params.gamma0_tilde * (n + 1) ** rate_exponent(model, params.d)
+    try:
+        rate = params.gamma0_tilde * (n + 1) ** rate_exponent(model, params.d)
+    except OverflowError:
+        rate = math.inf
+    if not math.isfinite(rate):
+        raise ValueError(f"the damping rate of doublet n={n} leaves the float range")
+    return rate
 
 
 def calibrated_kappa0(model: CouplingModel, params: DecoherenceParams) -> float:
@@ -352,20 +337,33 @@ def coherent_frequency(n: int, g: float, a_n: float) -> float:
 
 
 def _population_term(
-    n: int, a_n: float, tau: np.ndarray, out: np.ndarray, scratch: np.ndarray
+    n: int, a_n: float, tau: np.ndarray, t_max: float, out: np.ndarray, scratch: np.ndarray
 ) -> np.ndarray:
     """cos(B_n tau) exp(-A_n tau) in units of g, continued through overdamping,
-    written into ``out``; ``scratch`` is a second buffer of the same shape."""
+    written into ``out``; ``scratch`` is a second buffer of the same shape.
+
+    ``tau`` is nonnegative with maximum ``t_max``.  Every exponent is
+    then <= 0, so an A_n tau beyond the float range only rounds the
+    exponential to 0; a B_n t_max beyond it raises ValueError.
+    """
     disc = 4.0 * (n + 1) - a_n * a_n
     if disc > 0.0:
-        np.cos(np.multiply(math.sqrt(disc), tau, out=out), out=out)
+        b = math.sqrt(disc)
+        if not math.isfinite(b * t_max):
+            raise ValueError(f"B_n*t of doublet n={n} leaves the float range")
+        np.cos(np.multiply(b, tau, out=out), out=out)
         np.exp(np.multiply(-a_n, tau, out=scratch), out=scratch)
         return np.multiply(out, scratch, out=out)
-    # Overdamped doublet: the two relaxation roots -A +- sqrt(A^2 - 4(n+1))
-    # are real; the stable form of cosh(b tau) exp(-A tau).
-    b = math.sqrt(-disc)
-    np.exp(np.multiply(b - a_n, tau, out=out), out=out)
-    np.exp(np.multiply(-(b + a_n), tau, out=scratch), out=scratch)
+    # Overdamped doublet: the two relaxation roots -A +- b, with
+    # b = sqrt(A^2 - 4(n+1)), are real; cosh(b tau) exp(-A tau) is their
+    # mean.  b is formed without squaring A, b - A = -4(n+1)/(A + b)
+    # without cancelling, and -(A + b) tau as -A tau - b tau, which is
+    # -0.0, not nan, at tau = 0 when A + b overflows.
+    root = 2.0 * math.sqrt(n + 1)
+    b = math.sqrt(max(a_n - root, 0.0)) * math.sqrt(a_n + root)
+    np.multiply(-a_n, tau, out=out)
+    np.exp(np.add(out, np.multiply(-b, tau, out=scratch), out=scratch), out=scratch)
+    np.exp(np.multiply(-4.0 * (n + 1) / (a_n + b), tau, out=out), out=out)
     return np.multiply(0.5, np.add(out, scratch, out=out), out=out)
 
 
@@ -383,13 +381,17 @@ def population_lower(
     tau = np.atleast_1d(np.asarray(t, dtype=float))
     if tau.size == 0:
         raise ValueError("empty time grid")
+    if not (np.isfinite(tau).all() and tau.min() >= 0.0):
+        raise ValueError("time grid must be finite and nonnegative")
+    t_max = float(tau.max())
     acc = np.zeros_like(tau)
     term, scratch = np.empty_like(tau), np.empty_like(tau)
-    for n, p in enumerate(dist.p_n):
-        if p == 0.0:
-            continue
-        a_n = damping_rate_normalized(model, n, params)
-        acc += np.multiply(p, _population_term(n, a_n, tau, term, scratch), out=term)
+    with np.errstate(over="ignore"):
+        for n, p in enumerate(dist.p_n):
+            if p == 0.0:
+                continue
+            a_n = damping_rate_normalized(model, n, params)
+            acc += np.multiply(p, _population_term(n, a_n, tau, t_max, term, scratch), out=term)
     return 0.5 * (1.0 + acc)
 
 
@@ -417,12 +419,17 @@ def _oracle_blocks(dist, params, model, t_grid) -> tuple[np.ndarray, int]:
     t = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if t.size == 0:
         raise ValueError("empty time grid")
-    if (np.diff(t) < 0).any() or t[0] < 0:
-        raise ValueError("time grid must be nonnegative and nondecreasing")
+    if not np.isfinite(t).all() or (np.diff(t) < 0).any() or t[0] < 0:
+        raise ValueError("time grid must be finite, nonnegative and nondecreasing")
+    if not math.isfinite(2.0 * math.sqrt(dist.n_max + 1) * float(t[-1])):
+        raise ValueError(f"the Rabi phase of doublet n={dist.n_max} leaves the float range")
     # Two guard levels beyond the populated doublets; the dynamics is
     # block-diagonal in the doublets so the truncation is exact.
     n_levels = dist.n_max + 3
     rates = np.array([damping_rate_normalized(model, n, params) for n in range(dist.n_max + 1)])
+    # the block algebra below forms sums of up to 2 A_n
+    if not math.isfinite(4.0 * float(rates.max())):
+        raise ValueError("the damping rates leave the float range of the oracle")
     # Every doublet has the same dressed kets on its own basis, so D_n = D_0,
     # and H_n = sqrt(n+1) X for the Pauli matrix X: all blocks follow from
     # one 4x4 form, without the dense (2 n_levels)^2 operators.
@@ -447,7 +454,11 @@ def _oracle_blocks(dist, params, model, t_grid) -> tuple[np.ndarray, int]:
     # initial weights sit on the spin-down member of each doublet (vec
     # index 0), renormalized over the truncation so the trace is exactly 1
     coeffs = vecs[:, 0, :].conj() * (dist.p_n / dist.p_n.sum())[:, None]
-    blocks = np.einsum("kij,tkj->tki", vecs, coeffs * np.exp(evals * t[:, None, None]))
+    # every eigenvalue has real part 0 or -A_n, so an A_n t beyond the
+    # float range only rounds its exponential to 0
+    with np.errstate(over="ignore"):
+        decay = np.exp(evals * t[:, None, None])
+    blocks = np.einsum("kij,tkj->tki", vecs, coeffs * decay)
     return blocks.reshape(t.size, -1, 2, 2), n_levels
 
 
@@ -467,16 +478,6 @@ def dephasing_oracle_trajectory(
         rho[basis[:, :, None], basis[:, None, :]] = blk
         out.append(DensityOperator(rho, (2, n_levels), eig_tol=1e-8))
     return out
-
-
-def dephasing_oracle_evolve(
-    dist: VibrationalDistribution,
-    params: DecoherenceParams,
-    model: CouplingModel,
-    t: float,
-) -> DensityOperator:
-    """Density operator at a single dimensionless time g*t."""
-    return dephasing_oracle_trajectory(dist, params, model, [float(t)])[0]
 
 
 def oracle_population_lower(

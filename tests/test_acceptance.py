@@ -161,7 +161,7 @@ def test_criterion_swapping_oracle_equivalence():
     rng = np.random.default_rng(20240817)
     for k in range(200):
         coll, spec = random_swap_scenario(rng)
-        ok, message = verify_against_oracle(coll, spec, atol=1e-10)
+        ok, message = verify_against_oracle(coll, spec)
         assert ok, f"scenario {k}: {message}"
         total = sum(o.probability for o in enumerate_outcomes(coll, spec))
         assert abs(total - 1.0) < 1e-12

@@ -1,7 +1,9 @@
 """CLI contract tests: exit codes, file formats, determinism."""
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import time
@@ -114,6 +116,43 @@ def test_package_loads_core_names_on_first_access():
     assert result.stdout.split() == ["False", "True", "qlimits.core"]
 
 
+PUBLIC_MODULES = [
+    mod for mod in (importlib.import_module(f"qlimits.{m.name}") for m in pkgutil.iter_modules(qlimits.__path__))
+    if hasattr(mod, "__all__")
+]
+
+
+@pytest.mark.parametrize("mod", PUBLIC_MODULES, ids=lambda mod: mod.__name__)
+def test_module_all_names_resolve(mod):
+    # the benchmark's tracer walks each engine's __all__
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing, missing
+    assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+@pytest.mark.parametrize("argv", [
+    ["jc", "--points", "3"],
+    ["budget"],
+    ["swap", "{swap}"],
+    ["exchange", "--users", "A,B", "--request", "A,B"],
+    ["ree", "{state}"],
+], ids=["jc", "budget", "swap", "exchange", "ree"])
+def test_out_naming_a_directory_exits_3(runner, tmp_path, argv):
+    write_standard_swap(tmp_path / "swap.json")
+    write_bell(tmp_path / "state.json")
+    target = tmp_path / "target"
+    target.mkdir()
+    (target / "keep.txt").write_text("kept")
+    before = sorted(tmp_path.iterdir())
+    argv = [arg.format(swap=tmp_path / "swap.json", state=tmp_path / "state.json") for arg in argv]
+    result = runner.invoke(main, [*argv, "--out", str(target)])
+    assert result.exit_code == 3, result.output
+    assert "cannot write" in result.output
+    # no .target.* temporary file is left beside it, and the directory is untouched
+    assert sorted(tmp_path.iterdir()) == before
+    assert [(p.name, p.read_text()) for p in target.iterdir()] == [("keep.txt", "kept")]
+
+
 class TestJc:
     def test_csv_header_and_initial_row(self, runner):
         result = invoke(runner, "jc", "--dist", "fock:0", "--gamma0", "0", "--tmax", "1", "--points", "3")
@@ -210,6 +249,14 @@ class TestJc:
         result = runner.invoke(main, ["jc", *args, "--points", "3"])
         assert result.exit_code == 3, result.output
         assert "finite" in result.output
+
+    @pytest.mark.parametrize("args", [["--d", "700"], ["--d", "700", "--oracle"], ["--tmax", "1e308"],
+                                      ["--g", "1e-320"]])
+    def test_curve_beyond_float_range_exits_3(self, runner, args):
+        # a rate (n+1)**350.5, a Rabi phase B_n t or a t_s = t/g beyond the doubles
+        result = runner.invoke(main, ["jc", *args, "--points", "3"])
+        assert result.exit_code == 3, result.output
+        assert "float range" in result.output
 
     def test_csv_matches_per_cell_format(self, runner):
         # the reference formats each cell with format(x, '.12g') on its own
@@ -680,7 +727,7 @@ class TestRee:
         captured = {}
         original = entanglement.axiom_harness
 
-        def tiny_harness(measure=None, config=None):
+        def tiny_harness(config=None):
             captured["seed"] = config.seed
             small = HarnessConfig(
                 seed=config.seed,
@@ -689,9 +736,8 @@ class TestRee:
                 n_instruments=1,
                 n_pure=2,
                 n_perturbations=1,
-                include_additivity=False,
             )
-            return original(measure, small)
+            return original(small)
 
         monkeypatch.setattr(entanglement, "axiom_harness", tiny_harness)
         result = invoke(runner, "ree", "--axioms", "--seed", "3")

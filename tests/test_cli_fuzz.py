@@ -1,12 +1,14 @@
 """Property test: every input the CLI is handed ends with a documented exit code.
 
-Scenario, state and ion files and budget numbers are drawn by hypothesis,
-from near-valid documents to arbitrary JSON, and run in process.  The
-run must exit 0, 2, 3 or 4 and never end in a traceback.  Collections
-stay small (at most 12 particles, 10 users) and states stay on closed-form
-routes, so no case nears a cap or a long search.
+Scenario, state and ion files, budget numbers and jc curve parameters are
+drawn by hypothesis, from near-valid documents to arbitrary JSON, and run
+in process.  The run must exit 0, 2, 3 or 4 and never end in a traceback.
+Collections stay small (at most 12 particles, 10 users), states stay on
+closed-form routes and jc grids at 40 points, so no case nears a cap or a
+long search.
 """
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -80,6 +82,7 @@ def run(*args):
     result = CliRunner().invoke(main, [str(a) for a in args])
     assert result.exit_code in {0, 2, 3, 4}, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit), repr(result.exception)
+    return result
 
 
 def write(path, document):
@@ -129,3 +132,33 @@ def test_budget_ion_files(case_file, ion_list, n_ops):
 @example(l_list="1", epsilon="1e-300", eta="1", ratio="1e-16")
 def test_budget_numbers(l_list, epsilon, eta, ratio):
     run("budget", "--L", l_list, "--epsilon", epsilon, "--eta", eta, "--ratio", ratio)
+
+
+jc_numbers = number_texts | st.sampled_from(["inf", "-inf", "-1e300", "1e-320", "700", "-700"])
+dist_specs = (st.integers(-1, 60).map("fock:{}".format)
+              | st.builds("{}:{}".format, st.sampled_from(["coherent", "thermal", "fock"]), jc_numbers)
+              | st.text(max_size=8))
+
+
+@FUZZ
+@given(dist=dist_specs, gamma0=jc_numbers, d=jc_numbers, tmax=jc_numbers, g=st.none() | jc_numbers,
+       oracle=st.booleans(), points=st.integers(2, 40))
+@example(dist="coherent:3.0", gamma0="0.127", d="700", tmax="25", g=None, oracle=True, points=3)
+@example(dist="coherent:3.0", gamma0="0.127", d="0.4", tmax="1e308", g=None, oracle=False, points=3)
+@example(dist="coherent:3.0", gamma0="0.127", d="0.4", tmax="25", g="1e-320", oracle=False, points=3)
+@example(dist="fock:2", gamma0="1e154", d="0.4", tmax="25", g=None, oracle=False, points=3)
+@example(dist="fock:2", gamma0="1e154", d="0.4", tmax="1e300", g=None, oracle=True, points=3)
+def test_jc_curves(dist, gamma0, d, tmax, g, oracle, points):
+    args = ["jc", "--dist", dist, "--gamma0", gamma0, "--d", d, "--tmax", tmax, "--points", points]
+    args += [] if g is None else ["--g", g]
+    result = run(*args, *(["--oracle"] if oracle else []))
+    if result.exit_code != 0:
+        return
+    header, *rows = result.output.splitlines()
+    names = header.split(",")
+    assert len(rows) == points
+    for row in rows:
+        for name, cell in zip(names, row.split(",")):
+            if name.startswith("p_down"):
+                value = float(cell)
+                assert math.isfinite(value) and -1e-12 <= value <= 1.0 + 1e-12, (name, row)

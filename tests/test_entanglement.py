@@ -693,11 +693,10 @@ class TestAxiomChecks:
             n_instruments=2,
             n_pure=4,
             n_perturbations=2,
-            include_additivity=False,
         )
         report = axiom_harness(config=config)
         assert report.passed, report
         axioms = [c.axiom for c in report.checks]
-        assert axioms == ["E1", "E2", "E3", "E4", "E5"]
+        assert axioms == ["E1", "E2", "E3", "E4", "E5", "E6"]
         blob = report.to_json_dict()
         assert blob["passed"] is True

@@ -216,7 +216,7 @@ class TestErrorRatePerGate:
         assert r.value == pytest.approx(expected, rel=1e-13)
         assert r.value == pytest.approx(1.487e-6, abs=1e-9)
         assert not r.within_threshold
-        assert r.threshold == GATE_ERROR_THRESHOLD
+        assert r.value > GATE_ERROR_THRESHOLD
 
     def test_threshold_flag(self):
         quiet = synthetic_ion(Gamma33=1.0, Delta13=1e15)
@@ -227,29 +227,6 @@ def test_error_rate_vs_operations_monotone():
     ion = synthetic_ion()
     rates = [error_rate_vs_operations(n, 7, ion, 1.0) for n in (1e4, 1e5, 1e6, 1e7)]
     assert all(a < b for a, b in zip(rates, rates[1:]))
-
-
-class TestDomainTypes:
-    def test_algorithm_cost(self):
-        from qlimits.feasibility import AlgorithmCost
-
-        cost = AlgorithmCost(epsilon=400.0, L=10)
-        assert cost.qubits_required == 52
-        assert cost.total_time(1e-6) == pytest.approx(0.4, rel=1e-12)
-        with pytest.raises(ValueError):
-            AlgorithmCost(epsilon=0.0, L=10)
-
-    def test_trap_params_bounds(self):
-        from qlimits.feasibility import AlgorithmCost, TrapParams
-
-        trap = TrapParams(eta=1.0, ratio_gamma_over_omega2=1e-16, omega12=1e6)
-        cost = AlgorithmCost(epsilon=500.0, L=4)
-        assert float(trap.min_total_time(cost)) == float(min_total_time(4, 500.0, 1.0, 1e-16))
-        assert float(trap.max_decay_rate(cost)) == float(max_decay_rate(4, 500.0, 1.0, 1e-16))
-        assert trap.computation_time(cost) == computation_time_ion_trap(4, 500.0, 1.0, 1e6)
-        bare = TrapParams(eta=1.0, ratio_gamma_over_omega2=1e-16)
-        with pytest.raises(ValueError, match="omega12"):
-            bare.computation_time(cost)
 
 
 class TestIonConfig:
@@ -347,13 +324,6 @@ class TestFeasibilityReport:
         (em,) = report.emissions
         assert em.p_total.value == pytest.approx(em.p2.value + em.p3.value, rel=1e-14)
         assert em.error_rate == pytest.approx(em.p_total.value / 1e6, rel=1e-14)
-
-    def test_report_exposes_error_rate_function(self):
-        report = feasibility_report([7], ions=[synthetic_ion()])
-        values = [report.error_rate_vs_operations(n, "testium", 7) for n in (1e4, 1e6, 1e8)]
-        assert values[0] < values[1] < values[2]
-        with pytest.raises(KeyError):
-            report.error_rate_vs_operations(1e6, "unobtainium", 7)
 
     def test_deterministic(self):
         a = feasibility_report([4, 40], ions=[synthetic_ion()], n_ops=1e6)

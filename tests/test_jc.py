@@ -1,7 +1,9 @@
 """Tests for the damped Jaynes-Cummings module."""
 import math
+import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +21,6 @@ from qlimits.jc import (
     coherent_frequency,
     damping_rate_dimensional,
     damping_rate_normalized,
-    dephasing_oracle_evolve,
     dephasing_oracle_trajectory,
     dressed_coherence,
     dressed_states,
@@ -108,17 +109,6 @@ class TestDressedStates:
     def test_module_hamiltonian_matches_reference(self):
         np.testing.assert_allclose(jc_hamiltonian(7, g=0.9), reference_hamiltonian(7, g=0.9), atol=1e-15)
 
-    def test_dressed_label(self):
-        from qlimits.jc import DressedLabel
-
-        label = DressedLabel(3, -1)
-        assert label.energy(g=1.5) == pytest.approx(-3.0, rel=1e-15)
-        h = reference_hamiltonian(6)
-        state = label.state(n_levels=6)
-        assert np.abs(h @ state.amplitudes + 2.0 * state.amplitudes).max() < 1e-12
-        with pytest.raises(ValueError):
-            DressedLabel(2, 0)
-
 
 class TestMeanReservoirOccupation:
     def params(self, temperature, g=2 * math.pi * 1e5):
@@ -182,6 +172,14 @@ class TestNormalizedRates:
         p = DecoherenceParams(0.2, 0.4)
         rates = [damping_rate_normalized(DI, n, p) for n in range(6)]
         assert all(a < b for a, b in zip(rates, rates[1:]))
+
+    @pytest.mark.parametrize("gamma0, d, n", [
+        (0.127, 700.0, 7),   # (n+1)**350.5 raises OverflowError
+        (1e300, 40.0, 3000),  # a finite power times gamma0 rounds to inf
+    ])
+    def test_rate_beyond_float_range(self, gamma0, d, n):
+        with pytest.raises(ValueError, match="float range"):
+            damping_rate_normalized(DI, n, DecoherenceParams(gamma0, d))
 
 
 class TestDimensionalRates:
@@ -332,6 +330,38 @@ class TestPopulationLower:
         with pytest.raises(ValueError, match="empty"):
             population_lower([], VibrationalDistribution.fock(0), DecoherenceParams(0.1, 0.4), DI)
 
+    @pytest.mark.parametrize("grid", [[0.0, math.nan], [0.0, math.inf], [-1.0, 0.0]])
+    def test_grid_must_be_finite_and_nonnegative(self, grid):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            population_lower(grid, VibrationalDistribution.fock(0), DecoherenceParams(0.1, 0.4), DI)
+
+    def test_rabi_phase_beyond_float_range(self):
+        # B_0 t = 2 * 1e308 overflows; A_0 t alone only rounds e^(-A t) to 0
+        with pytest.raises(ValueError, match="B_n"):
+            population_lower([0.0, 1e308], VibrationalDistribution.fock(0), DecoherenceParams(0.127, 0.4), DI)
+
+    @pytest.mark.parametrize("n", [0, 2, 7])
+    def test_overdamped_doublet_against_mpmath(self, n):
+        # VI with d = 1 makes A_n = gamma0 exactly; from 2.1 sqrt(n+1) the
+        # doublet is overdamped, up to A_n = 1e300 where A_n^2 overflows and
+        # the largest double, where A_n + b does too
+        mpmath = pytest.importorskip("mpmath")
+        dist = VibrationalDistribution.fock(n)
+        tau = np.array([0.0, 1e-3, 0.5, 3.0, 12.5, 25.0])
+        for a_n in [*np.geomspace(2.1 * math.sqrt(n + 1), 1e300, 60), sys.float_info.max]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = population_lower(tau, dist, DecoherenceParams(float(a_n), 1.0), VI)
+            assert got[0] == 1.0
+            with mpmath.workdps(60):
+                a = mpmath.mpf(float(a_n))
+                b = mpmath.sqrt(a * a - 4 * (n + 1))
+                for t, value in zip(tau, got):
+                    t = mpmath.mpf(float(t))
+                    term = (mpmath.exp((b - a) * t) + mpmath.exp(-(b + a) * t)) / 2
+                    expected = (1 + term) / 2
+                    assert abs(value - expected) <= 1e-12 * expected, (a_n, t)
+
     @staticmethod
     def reference_population_lower(tau, dist, params, model):
         # one fresh array per level and operation, as before the work buffers
@@ -344,8 +374,9 @@ class TestPopulationLower:
             if disc > 0.0:
                 term = np.cos(math.sqrt(disc) * tau) * np.exp(-a_n * tau)
             else:
-                b = math.sqrt(-disc)
-                term = 0.5 * (np.exp((b - a_n) * tau) + np.exp(-(b + a_n) * tau))
+                root = 2.0 * math.sqrt(n + 1)
+                b = math.sqrt(max(a_n - root, 0.0)) * math.sqrt(a_n + root)
+                term = 0.5 * (np.exp(-4.0 * (n + 1) / (a_n + b) * tau) + np.exp(-a_n * tau + -b * tau))
             acc += p * term
         return 0.5 * (1.0 + acc)
 
@@ -369,7 +400,7 @@ class TestDephasingOracle:
         params = DecoherenceParams(0.0, 0.4)
         dist = VibrationalDistribution.fock(2)
         t = 7.0
-        rho = dephasing_oracle_evolve(dist, params, DI, t)
+        rho = dephasing_oracle_trajectory(dist, params, DI, [t])[0]
         n_levels = rho.dims[1]
         expected = unitary_evolution(
             reference_hamiltonian(n_levels), initial_state(dist, n_levels), t
@@ -387,7 +418,7 @@ class TestDephasingOracle:
     def test_trace_and_positivity(self):
         params = DecoherenceParams(0.2, 0.4)
         dist = VibrationalDistribution.coherent(1.0)
-        rho = dephasing_oracle_evolve(dist, params, DI, 5.0)
+        rho = dephasing_oracle_trajectory(dist, params, DI, [5.0])[0]
         # DensityOperator construction already enforces Hermiticity,
         # positivity within 1e-8 and unit trace within 1e-10
         assert abs(np.trace(rho.matrix).real - 1.0) < 1e-10
@@ -423,6 +454,21 @@ class TestDephasingOracle:
             dephasing_oracle_trajectory(dist, params, DI, [])
         with pytest.raises(ValueError, match="nondecreasing"):
             dephasing_oracle_trajectory(dist, params, DI, [1.0, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            dephasing_oracle_trajectory(dist, params, DI, [0.0, math.nan])
+
+    def test_grids_and_rates_at_the_float_range(self):
+        dist = VibrationalDistribution.fock(3)
+        # the Rabi phase 2 sqrt(n+1) t, or a block sum of 2 A_n, beyond the doubles
+        with pytest.raises(ValueError, match="Rabi phase"):
+            oracle_population_lower([0.0, 1e308], dist, DecoherenceParams(0.0, 0.4), DI)
+        with pytest.raises(ValueError, match="float range"):
+            oracle_population_lower([0.0, 1.0], dist, DecoherenceParams(1e308, 1.0), VI)
+        # an A_n t beyond them only rounds the coherences' decay to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = oracle_population_lower([0.0, 1.0, 1e300], dist, DecoherenceParams(1e154, 1.0), VI)
+        assert got.tolist() == pytest.approx([1.0, 0.5, 0.5], abs=1e-12)
 
     def test_invariants_on_every_state(self):
         # far out in time, for a mixed distribution, and at critical and
