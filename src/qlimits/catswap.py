@@ -45,7 +45,6 @@ __all__ = [
     "SwapOutcome",
     "DenseOutcome",
     "ExchangeResult",
-    "make_bell",
     "enumerate_outcomes",
     "project_outcome",
     "polygon_counts",
@@ -119,13 +118,6 @@ class CatState:
         return "+" if self.sign > 0 else "-"
 
 
-def make_bell(i: int, j: int, u_i: int, u_j: int, sign) -> CatState:
-    """Two-particle cat |u_i u_j> +- |u_i^c u_j^c| in canonical form."""
-    if i == j:
-        raise ValueError(f"Bell state needs two distinct particles, got {i} twice")
-    return CatState((i, j), (u_i, u_j), sign)
-
-
 @dataclass(frozen=True)
 class CatCollection:
     """Product of cat states on pairwise-disjoint particle sets."""
@@ -155,7 +147,7 @@ class CatCollection:
 
 @dataclass(frozen=True)
 class MeasurementSpec:
-    """Particles jointly projected onto the cat basis."""
+    """Particles jointly projected onto the cat basis, given as any iterable of ids."""
 
     selected: frozenset[int]
 
@@ -164,10 +156,6 @@ class MeasurementSpec:
         if not selected:
             raise ValueError("measurement must select at least one particle")
         object.__setattr__(self, "selected", selected)
-
-    @classmethod
-    def of(cls, particles) -> "MeasurementSpec":
-        return cls(frozenset(particles))
 
 
 @dataclass(frozen=True)
@@ -482,10 +470,10 @@ def telephone_exchange(users, request) -> ExchangeResult:
         mine, hub = (a, b) if m == 1 else (b, a)
         user_particles[user] = mine
         hub_particles[user] = hub
-        cats.append(make_bell(a, b, 0, 0, +1))
+        cats.append(CatState((a, b), (0, 0), +1))
     coll = CatCollection(tuple(cats))
     measured = tuple(sorted(hub_particles[u] for u in request))
-    outcomes = enumerate_outcomes(coll, MeasurementSpec.of(measured))
+    outcomes = enumerate_outcomes(coll, MeasurementSpec(measured))
     return ExchangeResult(
         users=tuple(users),
         request=tuple(request),
@@ -531,7 +519,7 @@ def scenario_from_dict(data: dict) -> tuple[CatCollection, MeasurementSpec]:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad cat entry {i}: {exc}") from exc
     coll = CatCollection(tuple(cats))
-    spec = MeasurementSpec.of(_int_list(data["measure"], "measure"))
+    spec = MeasurementSpec(_int_list(data["measure"], "measure"))
     return coll, spec
 
 

@@ -7,7 +7,8 @@ scenarios) and ``ree`` (relative entropy of entanglement).
 Exit codes: 0 success, 2 usage error, 3 input error, 4 verification
 mismatch.  Numeric output uses 12 significant digits and is
 locale-independent; identical inputs and seeds give byte-identical
-output.  Files are written atomically.
+output.  Files are written atomically, and ``--out`` is checked before any
+work; a device or a pipe is written in place.
 
 Each command imports only the engine it runs, when it runs: ``jc``
 loads ``qlimits.jc``, ``budget`` ``qlimits.feasibility``, ``swap`` and
@@ -35,6 +36,10 @@ EXIT_INPUT_ERROR = 3
 EXIT_VERIFY_MISMATCH = 4
 # Largest jc time grid; a larger one is a usage error.
 MAX_POINTS = 1_000_000
+# Largest jc curve, in time points x nonzero weights of the distribution;
+# each cell costs 10-30 ns, so a curve at the cap takes about 2 s.  A larger
+# one is an input error.
+MAX_CELLS = 2**26
 # Largest jc --oracle grid, in time points x doublets (points x (n_max + 1));
 # the oracle holds about 123 bytes per cell.  A larger one is an input error.
 MAX_ORACLE_CELLS = 2**21
@@ -57,24 +62,50 @@ def _round12(obj):
     return obj
 
 
+def _is_device(out: str) -> bool:
+    """``out`` exists and is neither a regular file nor a directory: a
+    device such as /dev/null, or a pipe.  Such a target is written in place,
+    as replacing it would put a regular file where it was."""
+    return os.path.exists(out) and not (os.path.isfile(out) or os.path.isdir(out))
+
+
+def _temporary_beside(out: str, *, delete: bool):
+    """An open temporary file in the directory of ``out``, to be moved onto it."""
+    import tempfile
+
+    path = Path(out)
+    if path.is_dir():
+        raise InputError(f"cannot write {out!r}: it is a directory")
+    try:
+        return tempfile.NamedTemporaryFile("w", dir=path.parent, prefix=f".{path.name}.", delete=delete)
+    except OSError as exc:
+        raise InputError(f"cannot write {out!r}: {exc}") from exc
+
+
+def _check_output(out: str | None):
+    """Fail before any work if :func:`_write_output` could not write ``out``:
+    make its temporary file, which closing removes again."""
+    if out is not None and out != "-" and not _is_device(out):
+        _temporary_beside(out, delete=True).close()
+
+
 def _write_output(text: str, out: str | None):
     if out is None or out == "-":
         click.echo(text, nl=not text.endswith("\n"))
         return
-    import tempfile
-
-    path = Path(out)
-    try:
-        handle = tempfile.NamedTemporaryFile(
-            "w", dir=path.parent or Path("."), prefix=f".{path.name}.", delete=False
-        )
-    except OSError as exc:
-        raise InputError(f"cannot write {out!r}: {exc}") from exc
+    if _is_device(out):
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out!r}: {exc}") from exc
+        return
+    handle = _temporary_beside(out, delete=False)
     try:
         with handle as fh:
             fh.write(text)
-        os.replace(handle.name, path)
-    except OSError as exc:  # e.g. ``out`` names a directory
+        os.replace(handle.name, out)
+    except OSError as exc:  # e.g. a directory made at ``out`` since the check
         os.unlink(handle.name)
         raise InputError(f"cannot write {out!r}: {exc}") from exc
     except BaseException:
@@ -166,16 +197,6 @@ def _dump_outcomes_json(blob, outcomes, out):
     _write_output("".join(doc), out)
 
 
-seed_option = click.option(
-    "--seed",
-    type=int,
-    default=0,
-    envvar="QLIMITS_SEED",
-    show_default=True,
-    help="Seed for the random cases of --axioms (QLIMITS_SEED is the fallback).",
-)
-
-
 @click.group()
 @click.version_option(version=__version__)
 def main():
@@ -230,6 +251,12 @@ def cmd_jc(dist, model, gamma0, exponent_d, tmax, points, g_rad_s, oracle, out):
         raise InputError(
             f"--oracle needs points x (n_max + 1) = {cells} cells, above MAX_ORACLE_CELLS={MAX_ORACLE_CELLS}"
         )
+    curve_cells = points * int(np.count_nonzero(distribution.p_n))
+    if curve_cells > MAX_CELLS:
+        raise InputError(
+            f"the curve needs points x nonzero weights = {curve_cells} cells, above MAX_CELLS={MAX_CELLS}"
+        )
+    _check_output(out)
     coupling = CouplingModel(model)
     grid = np.linspace(0.0, tmax, points)
     columns = {"gt": grid}
@@ -240,6 +267,9 @@ def cmd_jc(dist, model, gamma0, exponent_d, tmax, points, g_rad_s, oracle, out):
                 columns["t_s"] = grid / g_rad_s
             if not math.isfinite(columns["t_s"][-1]):
                 raise ValueError("t_s = tmax / g leaves the float range")
+            # t_s grows with gt, so the first nonzero gt has the smallest nonzero t_s
+            if columns["t_s"][grid > 0.0][0] < sys.float_info.min:
+                raise ValueError("t_s = gt / g leaves the float range at the first nonzero gt")
         columns["p_down"] = p_down
         if oracle:
             columns["p_down_oracle"] = oracle_population_lower(grid, distribution, params, coupling)
@@ -288,6 +318,7 @@ def cmd_budget(l_list, epsilon, eta, ratio, ions_path, n_ops, out):
             ions = feasibility.load_ion_config(ions_path)
         except (OSError, ValueError, RecursionError, json.JSONDecodeError) as exc:
             raise InputError(f"bad ion config: {exc}") from exc
+    _check_output(out)
     try:
         report = feasibility.feasibility_report(
             l_values, epsilon=epsilon, eta=eta, ratio=ratio, ions=ions, n_ops=n_ops
@@ -336,6 +367,7 @@ def cmd_swap(scenario, verify, out):
     """
     from . import catswap
 
+    _check_output(out)
     try:
         with open(scenario, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -344,7 +376,7 @@ def cmd_swap(scenario, verify, out):
                 _str_list(data["users"], "users"), _str_list(data.get("request", []), "request")
             )
             coll = result.collection
-            spec = catswap.MeasurementSpec.of(result.measured)
+            spec = catswap.MeasurementSpec(result.measured)
             outcomes = result.outcomes
         else:
             coll, spec = catswap.scenario_from_dict(data)
@@ -368,11 +400,12 @@ def cmd_exchange(users, request_, verify, out):
 
     user_list = [u.strip() for u in users.split(",") if u.strip()]
     request_list = [u.strip() for u in request_.split(",") if u.strip()]
+    _check_output(out)
     try:
         result = catswap.telephone_exchange(user_list, request_list)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    spec = catswap.MeasurementSpec.of(result.measured)
+    spec = catswap.MeasurementSpec(result.measured)
     if verify:
         _verify_or_die(result.collection, spec)
     blob = catswap.outcomes_to_jsonable(result.collection, spec, ())
@@ -418,20 +451,23 @@ def _is_number_pair(cell) -> bool:
 @main.command("ree")
 @click.argument("state_file", type=click.Path(), required=False)
 @click.option("--axioms", is_flag=True, help="Run the E1-E6 axiom harness instead.")
-@seed_option
+@click.option("--seed", type=int, default=0, envvar="QLIMITS_SEED", show_default=True,
+              help="Seed for the random cases of --axioms (QLIMITS_SEED is the fallback).")
 @click.option("--out", default="-", show_default=True, help="JSON destination.")
 def cmd_ree(state_file, axioms, seed, out):
     """Relative entropy of entanglement of a density operator."""
-    from .entanglement import HarnessConfig, axiom_harness, relative_entropy_of_entanglement
+    from .core import nats_to_bits
+    from .entanglement import axiom_harness, relative_entropy_of_entanglement
 
+    if not axioms and state_file is None:
+        raise click.UsageError("provide a state file or --axioms")
+    _check_output(out)
     if axioms:
-        report = axiom_harness(config=HarnessConfig(seed=seed))
+        report = axiom_harness(seed)
         _dump_json(report.to_json_dict(), out)
         if not report.passed:
             sys.exit(EXIT_VERIFY_MISMATCH)
         return
-    if state_file is None:
-        raise click.UsageError("provide a state file or --axioms")
     try:
         sigma = _load_density(state_file)
     except (OSError, ValueError, TypeError, OverflowError, RecursionError, json.JSONDecodeError) as exc:
@@ -443,7 +479,7 @@ def cmd_ree(state_file, axioms, seed, out):
     _dump_json(
         {
             "value_nats": result.value,
-            "value_bits": result.value_bits,
+            "value_bits": nats_to_bits(result.value),
             "converged": result.converged,
             "restarts": result.restarts_used,
         },

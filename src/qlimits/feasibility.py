@@ -84,9 +84,6 @@ class BoundValue:
         if self.relation not in (MUCH_GREATER, MUCH_LESS):
             raise ValueError(f"unknown relation {self.relation!r}")
 
-    def __float__(self) -> float:
-        return self.value
-
 
 @dataclass(frozen=True)
 class ProbabilityValue:
@@ -98,9 +95,6 @@ class ProbabilityValue:
     def valid(self) -> bool:
         return self.value <= 1.0
 
-    def __float__(self) -> float:
-        return self.value
-
 
 @dataclass(frozen=True)
 class GateErrorRate:
@@ -111,9 +105,6 @@ class GateErrorRate:
     @property
     def within_threshold(self) -> bool:
         return self.value <= GATE_ERROR_THRESHOLD
-
-    def __float__(self) -> float:
-        return self.value
 
 
 ION_FIELDS = ("name", "Gamma22", "Gamma33", "Delta2", "Delta13", "omega12", "omega13", "beta")
@@ -452,8 +443,9 @@ def feasibility_report(
                     (f"Gamma bound at L={row.L}", row.gamma_bound.value)]
         numbers += [(f"r of {name} at L={row.L}", rate.value) for name, rate in row.gate_errors]
     for em in emissions:
-        numbers += [(f"{key} of {em.ion} at L={em.L}", float(getattr(em, key)))
-                    for key in ("p2", "p3", "p_total", "error_rate")]
+        values = {"p2": em.p2.value, "p3": em.p3.value, "p_total": em.p_total.value,
+                  "error_rate": em.error_rate}
+        numbers += [(f"{key} of {em.ion} at L={em.L}", value) for key, value in values.items()]
     for what, value in numbers:
         if not math.isfinite(value):
             raise ValueError(f"{what} is {value!r}: the inputs leave the float range")

@@ -491,9 +491,9 @@ def oracle_population_lower(
     return blocks[:, :, 0, 0].real.sum(axis=1)
 
 
-def dressed_coherence(rho: DensityOperator | np.ndarray, n: int) -> complex:
+def dressed_coherence(rho: DensityOperator, n: int) -> complex:
     """Doublet-n coherence <n,+| rho |n,->."""
-    mat = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho)
+    mat = rho.matrix
     n_levels = mat.shape[0] // 2
     plus, minus = dressed_states(n, n_levels)
     return complex(plus.amplitudes.conj() @ mat @ minus.amplitudes)

@@ -53,4 +53,4 @@ def random_swap_scenario(rng, max_particles=12, max_cats=4):
     if not selected:
         cat = cats[int(rng.integers(0, len(cats)))]
         selected.append(int(cat.particles[0]))
-    return coll, MeasurementSpec.of(selected)
+    return coll, MeasurementSpec(selected)

@@ -60,8 +60,8 @@ def report_pass(criterion, detail):
 
 def test_criterion_feasibility_table():
     """Total-time bound reproduces the reference values within 2%."""
-    t4 = float(min_total_time(4, 500.0, 1.0, 1e-16))
-    t40 = float(min_total_time(40, 500.0, 1.0, 1e-16))
+    t4 = min_total_time(4, 500.0, 1.0, 1e-16).value
+    t40 = min_total_time(40, 500.0, 1.0, 1e-16).value
     assert t4 == pytest.approx(6.4e-3, rel=0.02)
     assert t40 == pytest.approx(6.4e5, rel=0.02)
     report_pass("feasibility-table", f"T(4)={t4:.4e} s, T(40)={t40:.4e} s, both within 2%")
@@ -167,19 +167,19 @@ def test_criterion_swapping_oracle_equivalence():
         assert abs(total - 1.0) < 1e-12
 
     # standard swap: 4 outcomes at 1/4
-    from qlimits.catswap import CatCollection, CatState, make_bell
+    from qlimits.catswap import CatCollection, CatState
 
-    coll = CatCollection((make_bell(1, 2, 0, 0, "+"), make_bell(3, 4, 0, 0, "+")))
-    spec = MeasurementSpec.of({2, 3})
+    coll = CatCollection((CatState((1, 2), (0, 0), "+"), CatState((3, 4), (0, 0), "+")))
+    spec = MeasurementSpec({2, 3})
     outcomes = enumerate_outcomes(coll, spec)
     assert len(outcomes) == 4
     assert all(o.probability == pytest.approx(0.25, abs=1e-15) for o in outcomes)
 
     # two Bells + three-particle GHZ, one particle measured from each
     coll5 = CatCollection(
-        (make_bell(1, 2, 0, 0, "+"), make_bell(3, 4, 0, 0, "+"), CatState((5, 6, 7), (0, 0, 0), "+"))
+        (CatState((1, 2), (0, 0), "+"), CatState((3, 4), (0, 0), "+"), CatState((5, 6, 7), (0, 0, 0), "+"))
     )
-    spec5 = MeasurementSpec.of({2, 3, 5})
+    spec5 = MeasurementSpec({2, 3, 5})
     assert polygon_counts(coll5, spec5) == (3, 4)
     ok, message = verify_against_oracle(coll5, spec5)
     assert ok, message
@@ -190,7 +190,7 @@ def test_criterion_swapping_oracle_equivalence():
     for o in result.outcomes:
         assert o.residual is not None and o.residual.n_particles == 3
         assert o.residual.particles == (1, 4, 6)
-    ok, message = verify_against_oracle(result.collection, MeasurementSpec.of(result.measured))
+    ok, message = verify_against_oracle(result.collection, MeasurementSpec(result.measured))
     assert ok, message
     report_pass(
         "swapping-oracle",

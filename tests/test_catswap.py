@@ -13,7 +13,6 @@ from qlimits.catswap import (
     brute_force_oracle,
     cats_dense_vector,
     enumerate_outcomes,
-    make_bell,
     outcomes_to_jsonable,
     polygon_counts,
     project_outcome,
@@ -39,35 +38,35 @@ def raw_cat_vector(particles, bits, sign):
 
 
 def standard_swap():
-    coll = CatCollection((make_bell(1, 2, 0, 0, +1), make_bell(3, 4, 0, 0, +1)))
-    return coll, MeasurementSpec.of({2, 3})
+    coll = CatCollection((CatState((1, 2), (0, 0), +1), CatState((3, 4), (0, 0), +1)))
+    return coll, MeasurementSpec({2, 3})
 
 
 def fig5_scenario():
     """Two Bell pairs and a 3-particle GHZ; select one particle from each."""
     coll = CatCollection(
         (
-            make_bell(1, 2, 0, 0, +1),
-            make_bell(3, 4, 0, 0, +1),
+            CatState((1, 2), (0, 0), +1),
+            CatState((3, 4), (0, 0), +1),
             CatState((5, 6, 7), (0, 0, 0), +1),
         )
     )
-    return coll, MeasurementSpec.of({2, 3, 5})
+    return coll, MeasurementSpec({2, 3, 5})
 
 
 class TestCatState:
     def test_bell_phi_plus(self):
-        cat = make_bell(1, 2, 0, 0, "+")
+        cat = CatState((1, 2), (0, 0), "+")
         assert cat.particles == (1, 2)
         assert cat.bits == (0, 0)
         assert cat.sign == +1
 
     def test_bell_psi_minus(self):
-        cat = make_bell(1, 2, 0, 1, "-")
+        cat = CatState((1, 2), (0, 1), "-")
         assert cat.bits == (0, 1) and cat.sign == -1
 
     def test_complement_canonicalization(self):
-        cat = make_bell(1, 2, 1, 1, "+")
+        cat = CatState((1, 2), (1, 1), "+")
         assert cat.bits == (0, 0) and cat.sign == +1
 
     def test_particle_order_normalized(self):
@@ -76,8 +75,8 @@ class TestCatState:
         assert cat.bits == (0, 1)
 
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError, match="distinct"):
-            make_bell(3, 3, 0, 0, "+")
+        with pytest.raises(ValueError, match="duplicate particle ids"):
+            CatState((3, 3), (0, 0), "+")
 
     def test_single_particle_degenerate(self):
         cat = CatState((4,), (1,), "-")
@@ -103,16 +102,16 @@ class TestCatState:
 class TestCollectionsAndSpecs:
     def test_disjointness_enforced(self):
         with pytest.raises(ValueError, match="more than one cat"):
-            CatCollection((make_bell(1, 2, 0, 0, "+"), make_bell(2, 3, 0, 0, "+")))
+            CatCollection((CatState((1, 2), (0, 0), "+"), CatState((2, 3), (0, 0), "+")))
 
     def test_empty_selection_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            MeasurementSpec.of(set())
+            MeasurementSpec(set())
 
     def test_unknown_particle_rejected(self):
         coll, _ = standard_swap()
         with pytest.raises(ValueError, match="not in the collection"):
-            enumerate_outcomes(coll, MeasurementSpec.of({2, 9}))
+            enumerate_outcomes(coll, MeasurementSpec({2, 9}))
 
 
 class TestStandardSwap:
@@ -165,19 +164,19 @@ class TestFig5Scenario:
 class TestPolygonCounts:
     def test_select_everything(self):
         coll, _ = standard_swap()
-        assert polygon_counts(coll, MeasurementSpec.of({1, 2, 3, 4})) == (4, 0)
+        assert polygon_counts(coll, MeasurementSpec({1, 2, 3, 4})) == (4, 0)
 
     def test_untouched_cats_not_counted(self):
-        coll = CatCollection((make_bell(1, 2, 0, 0, "+"), make_bell(3, 4, 0, 0, "+")))
-        assert polygon_counts(coll, MeasurementSpec.of({1})) == (1, 1)
-        assert untouched_cats(coll, MeasurementSpec.of({1}))[0].particles == (3, 4)
+        coll = CatCollection((CatState((1, 2), (0, 0), "+"), CatState((3, 4), (0, 0), "+")))
+        assert polygon_counts(coll, MeasurementSpec({1})) == (1, 1)
+        assert untouched_cats(coll, MeasurementSpec({1}))[0].particles == (3, 4)
 
 
 class TestFullConsumption:
     def test_measure_whole_cat(self):
         cat = CatState((1, 2, 3), (0, 1, 1), "-")
         coll = CatCollection((cat,))
-        outcomes = enumerate_outcomes(coll, MeasurementSpec.of({1, 2, 3}))
+        outcomes = enumerate_outcomes(coll, MeasurementSpec({1, 2, 3}))
         # compatible pair: only the matching sign survives with probability 1
         assert len(outcomes) == 1
         assert outcomes[0].probability == pytest.approx(1.0, abs=1e-15)
@@ -187,20 +186,20 @@ class TestFullConsumption:
     def test_projection_onto_wrong_sign_is_zero(self):
         cat = CatState((1, 2, 3), (0, 1, 1), "-")
         coll = CatCollection((cat,))
-        spec = MeasurementSpec.of({1, 2, 3})
+        spec = MeasurementSpec({1, 2, 3})
         flipped = CatState((1, 2, 3), (0, 1, 1), "+")
         assert project_outcome(coll, spec, flipped) is None
 
     def test_oracle_agreement(self):
-        coll = CatCollection((CatState((1, 2, 3), (0, 1, 1), "-"), make_bell(5, 6, 0, 1, "+")))
-        ok, message = verify_against_oracle(coll, MeasurementSpec.of({1, 2, 3, 5}))
+        coll = CatCollection((CatState((1, 2, 3), (0, 1, 1), "-"), CatState((5, 6), (0, 1), "+")))
+        ok, message = verify_against_oracle(coll, MeasurementSpec({1, 2, 3, 5}))
         assert ok, message
 
     def test_every_particle_of_two_bells(self):
         # both cats fully consumed: the expansion branches interfere,
         # leaving 2 outcomes at probability 1/2 each
         coll, _ = standard_swap()
-        spec = MeasurementSpec.of({1, 2, 3, 4})
+        spec = MeasurementSpec({1, 2, 3, 4})
         outcomes = enumerate_outcomes(coll, spec)
         assert len(outcomes) == 2
         for o in outcomes:
@@ -222,20 +221,20 @@ class TestProjectOutcome:
         # both Bell pairs have correlated bits; an anti-correlated basis
         # pattern on particles of the same cat cannot appear
         coll = CatCollection((CatState((1, 2, 3), (0, 0, 0), "+"),))
-        spec = MeasurementSpec.of({1, 2})
+        spec = MeasurementSpec({1, 2})
         basis = CatState((1, 2), (0, 1), "+")
         assert project_outcome(coll, spec, basis) is None
 
     def test_wrong_particle_set_rejected(self):
         coll, spec = standard_swap()
         with pytest.raises(ValueError, match="selects"):
-            project_outcome(coll, spec, make_bell(1, 2, 0, 0, "+"))
+            project_outcome(coll, spec, CatState((1, 2), (0, 0), "+"))
 
     def test_sign_bookkeeping_against_oracle(self):
         # initial signs (-, -) with a (+) basis: residual sign comes out
         # of the expansion; trust the dense algebra
-        coll = CatCollection((make_bell(1, 2, 0, 0, "-"), make_bell(3, 4, 0, 0, "-")))
-        spec = MeasurementSpec.of({2, 3})
+        coll = CatCollection((CatState((1, 2), (0, 0), "-"), CatState((3, 4), (0, 0), "-")))
+        spec = MeasurementSpec({2, 3})
         outcome = project_outcome(coll, spec, CatState((2, 3), (0, 0), "+"))
         assert outcome is not None
         assert outcome.residual.sign == +1  # (+) basis times (-)(-) collection
@@ -245,11 +244,11 @@ class TestProjectOutcome:
 
 class TestBruteForceOracle:
     def test_size_limit(self):
-        cats = tuple(make_bell(2 * i, 2 * i + 1, 0, 0, "+") for i in range(8))
+        cats = tuple(CatState((2 * i, 2 * i + 1), (0, 0), "+") for i in range(8))
         coll = CatCollection(cats)
         assert coll.n_particles > BRUTE_FORCE_LIMIT
         with pytest.raises(ValueError, match="dense limit"):
-            brute_force_oracle(coll, MeasurementSpec.of({0}))
+            brute_force_oracle(coll, MeasurementSpec({0}))
 
     def test_standard_swap_probabilities(self):
         coll, spec = standard_swap()
@@ -386,7 +385,7 @@ class TestTelephoneExchange:
             assert o.residual.particles == (1, 4, 6)
             assert o.residual.n_particles == 3
         # D's pair is untouched
-        untouched = untouched_cats(result.collection, MeasurementSpec.of(result.measured))
+        untouched = untouched_cats(result.collection, MeasurementSpec(result.measured))
         assert untouched[0].particles == (7, 8)
 
     def test_single_user_request(self):
@@ -401,7 +400,7 @@ class TestTelephoneExchange:
             names = [f"U{i}" for i in range(n)]
             result = telephone_exchange(names, names)
             ok, message = verify_against_oracle(
-                result.collection, MeasurementSpec.of(result.measured)
+                result.collection, MeasurementSpec(result.measured)
             )
             assert ok, message
             assert all(o.residual.n_particles == n for o in result.outcomes)
@@ -413,11 +412,11 @@ class TestTelephoneExchange:
         with pytest.raises(ValueError, match="MAX_OUTCOMES"):
             telephone_exchange(names + ["U16"], names + ["U16"])
         # consumed cats halve the count: 17 fully measured Bell pairs are allowed
-        bells = CatCollection(tuple(make_bell(2 * i, 2 * i + 1, 0, 0, +1) for i in range(18)))
-        everything = MeasurementSpec.of(range(34))
+        bells = CatCollection(tuple(CatState((2 * i, 2 * i + 1), (0, 0), +1) for i in range(18)))
+        everything = MeasurementSpec(range(34))
         assert len(enumerate_outcomes(CatCollection(bells.cats[:17]), everything)) == MAX_OUTCOMES
         with pytest.raises(ValueError, match="MAX_OUTCOMES"):
-            enumerate_outcomes(bells, MeasurementSpec.of(range(36)))
+            enumerate_outcomes(bells, MeasurementSpec(range(36)))
 
     def test_unknown_user(self):
         with pytest.raises(ValueError, match="unknown"):

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pkgutil
+import stat
 import subprocess
 import sys
 import time
@@ -16,7 +17,7 @@ import qlimits
 import qlimits.cli as cli_module
 from helpers import random_swap_scenario
 from qlimits import catswap, feasibility
-from qlimits.cli import MAX_ORACLE_CELLS, MAX_POINTS, main
+from qlimits.cli import MAX_CELLS, MAX_ORACLE_CELLS, MAX_POINTS, main
 from qlimits.jc import (
     CouplingModel,
     DecoherenceParams,
@@ -130,27 +131,69 @@ def test_module_all_names_resolve(mod):
     assert len(set(mod.__all__)) == len(mod.__all__)
 
 
-@pytest.mark.parametrize("argv", [
-    ["jc", "--points", "3"],
-    ["budget"],
-    ["swap", "{swap}"],
-    ["exchange", "--users", "A,B", "--request", "A,B"],
-    ["ree", "{state}"],
-], ids=["jc", "budget", "swap", "exchange", "ree"])
-def test_out_naming_a_directory_exits_3(runner, tmp_path, argv):
+# Each command with the engine it runs.  The --out tests make that engine
+# raise, so they fail if --out is checked only after the work.
+OUT_CASES = [
+    pytest.param(["jc", "--points", "3"], "qlimits.jc.population_lower", id="jc"),
+    pytest.param(["budget"], "qlimits.feasibility.feasibility_report", id="budget"),
+    pytest.param(["swap", "{swap}"], "qlimits.catswap.enumerate_outcomes", id="swap"),
+    pytest.param(["exchange", "--users", "A,B", "--request", "A,B"], "qlimits.catswap.telephone_exchange",
+                 id="exchange"),
+    pytest.param(["ree", "{state}"], "qlimits.entanglement.relative_entropy_of_entanglement", id="ree"),
+    pytest.param(["ree", "--axioms"], "qlimits.entanglement.axiom_harness", id="ree-axioms"),
+]
+
+
+def invoke_without_engine(runner, monkeypatch, tmp_path, argv, engine, out):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{engine} ran before --out was checked")
+
+    monkeypatch.setattr(engine, refuse)
     write_standard_swap(tmp_path / "swap.json")
     write_bell(tmp_path / "state.json")
+    argv = [arg.format(swap=tmp_path / "swap.json", state=tmp_path / "state.json") for arg in argv]
+    return runner.invoke(main, [*argv, "--out", str(out)])
+
+
+@pytest.mark.parametrize("argv, engine", OUT_CASES)
+def test_out_naming_a_directory_exits_3(runner, monkeypatch, tmp_path, argv, engine):
     target = tmp_path / "target"
     target.mkdir()
     (target / "keep.txt").write_text("kept")
-    before = sorted(tmp_path.iterdir())
-    argv = [arg.format(swap=tmp_path / "swap.json", state=tmp_path / "state.json") for arg in argv]
-    result = runner.invoke(main, [*argv, "--out", str(target)])
+    result = invoke_without_engine(runner, monkeypatch, tmp_path, argv, engine, target)
     assert result.exit_code == 3, result.output
     assert "cannot write" in result.output
+    assert result.stdout == ""
     # no .target.* temporary file is left beside it, and the directory is untouched
-    assert sorted(tmp_path.iterdir()) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json", "swap.json", "target"]
     assert [(p.name, p.read_text()) for p in target.iterdir()] == [("keep.txt", "kept")]
+
+
+@pytest.mark.parametrize("argv, engine", OUT_CASES)
+def test_out_in_a_missing_directory_exits_3(runner, monkeypatch, tmp_path, argv, engine):
+    out = tmp_path / "missing" / "x.json"
+    result = invoke_without_engine(runner, monkeypatch, tmp_path, argv, engine, out)
+    assert result.exit_code == 3, result.output
+    assert "cannot write" in result.output
+    assert result.stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json", "swap.json"]
+
+
+def test_out_naming_a_pipe_writes_into_it(runner, tmp_path):
+    # a pipe or a device such as /dev/null is written in place, not replaced
+    # by a regular file
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        result = runner.invoke(main, ["jc", "--points", "3", "--out", str(pipe)])
+        assert result.exit_code == 0, result.output
+        text = os.read(reader, 1 << 16).decode()
+    finally:
+        os.close(reader)
+    assert text == invoke(runner, "jc", "--points", "3").output
+    assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
 
 class TestJc:
@@ -243,6 +286,29 @@ class TestJc:
         result = runner.invoke(main, ["jc", "--dist", "fock:2", "--points", "699051", "--out", os.devnull])
         assert result.exit_code == 0
 
+    def test_curve_above_cell_cap_exits_3(self, runner, monkeypatch, tmp_path):
+        # thermal:13.875 keeps 265 nonzero weights and 265 x 253241 = MAX_CELLS + 1;
+        # the cap is checked before any curve is computed
+        assert np.count_nonzero(VibrationalDistribution.parse("thermal:13.875").p_n) == 265
+        assert 265 * 253241 == MAX_CELLS + 1
+
+        def no_compute(*args):
+            raise AssertionError("computed above the cap")
+
+        monkeypatch.setattr("qlimits.jc.population_lower", no_compute)
+        result = runner.invoke(main, ["jc", "--dist", "thermal:13.875", "--points", "253241"])
+        assert result.exit_code == 3, result.output
+        assert "MAX_CELLS" in result.output
+        # thermal:13.375 keeps 256 nonzero weights, and 256 x 262144 is the cap itself
+        assert np.count_nonzero(VibrationalDistribution.parse("thermal:13.375").p_n) == 256
+        assert 256 * 262144 == MAX_CELLS
+        monkeypatch.setattr("qlimits.jc.population_lower", lambda grid, *args: np.zeros_like(grid))
+        out = tmp_path / "curve.csv"
+        result = runner.invoke(main, ["jc", "--dist", "thermal:13.375", "--points", "262144",
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert out.read_text().count("\n") == 262145
+
     @pytest.mark.parametrize("args", [["--gamma0", "nan"], ["--gamma0", "inf"], ["--d", "nan"],
                                       ["--g", "nan"], ["--g", "inf"]])
     def test_nonfinite_parameters_exit_3(self, runner, args):
@@ -257,6 +323,16 @@ class TestJc:
         result = runner.invoke(main, ["jc", *args, "--points", "3"])
         assert result.exit_code == 3, result.output
         assert "float range" in result.output
+
+    @pytest.mark.parametrize("tmax", ["1e-300", "2e-8"])
+    def test_seconds_column_underflow_exits_3(self, runner, tmax):
+        # the first nonzero gt is tmax / 2, and t_s = gt / 1e300 is 0, or
+        # 1e-308, below the smallest normal double
+        result = runner.invoke(main, ["jc", "--g", "1e300", "--tmax", tmax, "--points", "3"])
+        assert result.exit_code == 3, result.output
+        assert "float range" in result.output
+        # t_s = 5e-306 is a normal double
+        assert invoke(runner, "jc", "--g", "1e300", "--tmax", "1e-5", "--points", "3").exit_code == 0
 
     def test_csv_matches_per_cell_format(self, runner):
         # the reference formats each cell with format(x, '.12g') on its own
@@ -328,6 +404,12 @@ class TestBudget:
         data = json.loads(out.read_text())
         assert data["rows"][0]["L"] == 4
         assert data["rows"][0]["T_bound_s"] == pytest.approx(6.4e-3, rel=0.02)
+
+    def test_unwritable_out_prints_no_table(self, runner, tmp_path):
+        # --out is checked before the table goes to stdout
+        result = runner.invoke(main, ["budget", "--out", str(tmp_path)])
+        assert result.exit_code == 3, result.output
+        assert result.stdout == ""
 
     def test_epsilon_default_is_the_worked_value(self):
         option = next(p for p in main.commands["budget"].params if p.name == "epsilon")
@@ -544,7 +626,7 @@ class TestOutcomeEmitter:
         output = invoke(runner, "exchange", "--users", users, "--request", request_).output
         result = catswap.telephone_exchange(users.split(","), request_.split(","))
         blob = catswap.outcomes_to_jsonable(
-            result.collection, catswap.MeasurementSpec.of(result.measured), result.outcomes
+            result.collection, catswap.MeasurementSpec(result.measured), result.outcomes
         )
         blob.update(users=list(result.users), request=list(result.request),
                     user_particles=result.user_particles, hub_particles=result.hub_particles)
@@ -722,23 +804,16 @@ class TestRee:
         # a fast harness pass through the CLI would still take minutes;
         # exercise the wiring with a tiny configuration instead
         from qlimits import entanglement
-        from qlimits.entanglement import HarnessConfig
 
         captured = {}
         original = entanglement.axiom_harness
 
-        def tiny_harness(config=None):
-            captured["seed"] = config.seed
-            small = HarnessConfig(
-                seed=config.seed,
-                n_separable=2,
-                n_unitaries=2,
-                n_instruments=1,
-                n_pure=2,
-                n_perturbations=1,
-            )
-            return original(small)
+        def tiny_harness(seed):
+            captured["seed"] = seed
+            return original(seed)
 
+        # cases of E1-E5 in order: separable, unitaries, instruments, perturbations, pure
+        monkeypatch.setattr(entanglement, "_HARNESS_CASES", (2, 2, 1, 1, 2))
         monkeypatch.setattr(entanglement, "axiom_harness", tiny_harness)
         result = invoke(runner, "ree", "--axioms", "--seed", "3")
         assert result.exit_code == 0

@@ -121,15 +121,15 @@ class TestMinTotalTime:
         assert bound.value == pytest.approx(6.4e-3, rel=0.02)
 
     def test_table_L40(self):
-        assert float(min_total_time(40, 500.0, 1.0, 1e-16)) == pytest.approx(6.4e5, rel=0.02)
+        assert min_total_time(40, 500.0, 1.0, 1e-16).value == pytest.approx(6.4e5, rel=0.02)
 
     def test_factorization_band(self):
-        assert float(min_total_time(78, 500.0, 1.0, 1e-16)) == pytest.approx(1.35e8, rel=0.01)
+        assert min_total_time(78, 500.0, 1.0, 1e-16).value == pytest.approx(1.35e8, rel=0.01)
 
     def test_L8_scaling_exact(self):
         for L in (3, 4, 7):
-            assert float(min_total_time(2 * L, 500.0, 1.0, 1e-16)) == 256.0 * float(
-                min_total_time(L, 500.0, 1.0, 1e-16)
+            assert min_total_time(2 * L, 500.0, 1.0, 1e-16).value == (
+                256.0 * min_total_time(L, 500.0, 1.0, 1e-16).value
             )
 
 
@@ -142,12 +142,12 @@ class TestMaxDecayRate:
         assert bound.value == pytest.approx(7.73, abs=0.01)
 
     def test_hand_value_L40(self):
-        assert float(max_decay_rate(40, 500.0, 1.0, 1e-16)) == pytest.approx(7.73e-9, abs=1e-11)
+        assert max_decay_rate(40, 500.0, 1.0, 1e-16).value == pytest.approx(7.73e-9, abs=1e-11)
 
     def test_L9_scaling_exact(self):
         for L in (2, 4, 10):
-            assert float(max_decay_rate(L, 500.0, 1.0, 1e-16)) == 512.0 * float(
-                max_decay_rate(2 * L, 500.0, 1.0, 1e-16)
+            assert max_decay_rate(L, 500.0, 1.0, 1e-16).value == (
+                512.0 * max_decay_rate(2 * L, 500.0, 1.0, 1e-16).value
             )
 
 
