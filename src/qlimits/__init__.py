@@ -11,7 +11,9 @@ Library and CLI covering four areas:
 * ``qlimits.catswap`` -- symbolic generalized entanglement swapping on
   multiparticle cat states, an exact dense oracle, and the quantum
   telephone exchange scenario.
-* ``qlimits.entanglement`` -- relative entropy of entanglement via
+* ``qlimits.entanglement`` -- relative entropy of entanglement, in
+  closed form for pure states, for PPT states in 2x2 and 2x3 and for
+  Bell-diagonal two-qubit states (up to local unitaries), otherwise by
   numerical minimization over separable states, with an axiom harness
   and the distillation bound.
 

@@ -7,8 +7,9 @@ scenarios) and ``ree`` (relative entropy of entanglement).
 Exit codes: 0 success, 2 usage error, 3 input error, 4 verification
 mismatch.  Numeric output uses 12 significant digits and is
 locale-independent; identical inputs and seeds give byte-identical
-output.  Files are written atomically, and ``--out`` is checked before any
-work; a device or a pipe is written in place.
+output.  Every command opens ``--out`` once, before any work, and writes
+through it: a file atomically, by moving a temporary file onto it, and a
+device or a pipe in place.
 
 Each command imports only the engine it runs, when it runs: ``jc``
 loads ``qlimits.jc``, ``budget`` ``qlimits.feasibility``, ``swap`` and
@@ -18,10 +19,12 @@ numpy is loaded by ``jc``, ``ree`` and ``--verify``, so ``budget``, and
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 import sys
+import tempfile
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -43,12 +46,21 @@ MAX_CELLS = 2**26
 # Largest jc --oracle grid, in time points x doublets (points x (n_max + 1));
 # the oracle holds about 123 bytes per cell.  A larger one is an input error.
 MAX_ORACLE_CELLS = 2**21
+# jc formats and writes its CSV this many rows at a time, so the text it
+# holds does not grow with the grid.
+CSV_BLOCK_ROWS = 2**14
 
 
 class InputError(click.ClickException):
     """Bad input file or value; exits with code 3."""
 
     exit_code = EXIT_INPUT_ERROR
+
+
+class VerificationMismatch(click.ClickException):
+    """A result that failed its cross-check; exits with code 4."""
+
+    exit_code = EXIT_VERIFY_MISMATCH
 
 
 def _round12(obj):
@@ -62,59 +74,56 @@ def _round12(obj):
     return obj
 
 
-def _is_device(out: str) -> bool:
-    """``out`` exists and is neither a regular file nor a directory: a
-    device such as /dev/null, or a pipe.  Such a target is written in place,
-    as replacing it would put a regular file where it was."""
-    return os.path.exists(out) and not (os.path.isfile(out) or os.path.isdir(out))
+@contextlib.contextmanager
+def _output(out: str | None):
+    """Yield a ``write(text)`` to ``out``: stdout for ``None`` or ``-``; a
+    device or a pipe, opened in place so that it is not replaced by a regular
+    file; else one temporary file beside ``out``, moved onto it when the body
+    completes and removed by any exception.  Only the destination's own
+    open, write and replace errors become InputError."""
+    if out is None or out == "-":
+        yield lambda text: click.echo(text, nl=False)
+        return
 
-
-def _temporary_beside(out: str, *, delete: bool):
-    """An open temporary file in the directory of ``out``, to be moved onto it."""
-    import tempfile
+    @contextlib.contextmanager
+    def destination_errors():
+        try:
+            yield
+        except OSError as exc:
+            raise InputError(f"cannot write {out!r}: {exc}") from exc
 
     path = Path(out)
     if path.is_dir():
         raise InputError(f"cannot write {out!r}: it is a directory")
-    try:
-        return tempfile.NamedTemporaryFile("w", dir=path.parent, prefix=f".{path.name}.", delete=delete)
-    except OSError as exc:
-        raise InputError(f"cannot write {out!r}: {exc}") from exc
+    in_place = path.exists() and not path.is_file()
+    with destination_errors():
+        fh = open(out, "w") if in_place else tempfile.NamedTemporaryFile(
+            "w", dir=path.parent, prefix=f".{path.name}.", delete=False)
 
-
-def _check_output(out: str | None):
-    """Fail before any work if :func:`_write_output` could not write ``out``:
-    make its temporary file, which closing removes again."""
-    if out is not None and out != "-" and not _is_device(out):
-        _temporary_beside(out, delete=True).close()
-
-
-def _write_output(text: str, out: str | None):
-    if out is None or out == "-":
-        click.echo(text, nl=not text.endswith("\n"))
-        return
-    if _is_device(out):
-        try:
-            with open(out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise InputError(f"cannot write {out!r}: {exc}") from exc
-        return
-    handle = _temporary_beside(out, delete=False)
-    try:
-        with handle as fh:
+    def write(text: str):
+        with destination_errors():
             fh.write(text)
-        os.replace(handle.name, out)
-    except OSError as exc:  # e.g. a directory made at ``out`` since the check
-        os.unlink(handle.name)
-        raise InputError(f"cannot write {out!r}: {exc}") from exc
+
+    try:
+        try:
+            yield write
+        except BaseException:
+            # a close that flushes into a full disk must not hide the error
+            with contextlib.suppress(OSError):
+                fh.close()
+            raise
+        with destination_errors():
+            fh.close()
+            if not in_place:  # fails e.g. on a directory made at ``out`` meanwhile
+                os.replace(fh.name, out)
     except BaseException:
-        os.unlink(handle.name)
+        if not in_place:
+            os.unlink(fh.name)
         raise
 
 
-def _dump_json(data, out):
-    _write_output(json.dumps(_round12(data), indent=2, sort_keys=True) + "\n", out)
+def _json_text(data) -> str:
+    return json.dumps(_round12(data), indent=2, sort_keys=True) + "\n"
 
 
 # One element of an "outcomes" list as json.dumps(indent=2, sort_keys=True)
@@ -154,10 +163,10 @@ class _IntLists(dict):
         return text
 
 
-def _dump_outcomes_json(blob, outcomes, out):
-    """Write ``blob`` with its "outcomes" entry replaced by ``outcomes``.
+def _outcomes_json(blob, outcomes) -> str:
+    """``blob`` as JSON text, with its "outcomes" entry replaced by ``outcomes``.
 
-    The text is byte for byte what :func:`_dump_json` writes for the
+    The text is byte for byte what :func:`_json_text` makes of the
     document that :func:`catswap.outcomes_to_jsonable` builds, but the
     outcome list is filled into a fixed template instead of going
     through the pure-Python indenting encoder.  Cats are never empty, so
@@ -194,7 +203,7 @@ def _dump_outcomes_json(blob, outcomes, out):
             doc.append("\n  ]")
         doc.append(",")
     doc[-1] = "\n}\n"
-    _write_output("".join(doc), out)
+    return "".join(doc)
 
 
 @click.group()
@@ -256,29 +265,31 @@ def cmd_jc(dist, model, gamma0, exponent_d, tmax, points, g_rad_s, oracle, out):
         raise InputError(
             f"the curve needs points x nonzero weights = {curve_cells} cells, above MAX_CELLS={MAX_CELLS}"
         )
-    _check_output(out)
     coupling = CouplingModel(model)
     grid = np.linspace(0.0, tmax, points)
     columns = {"gt": grid}
-    try:
-        p_down = population_lower(grid, distribution, params, coupling)
-        if g_rad_s is not None:
-            with np.errstate(over="ignore"):
-                columns["t_s"] = grid / g_rad_s
-            if not math.isfinite(columns["t_s"][-1]):
-                raise ValueError("t_s = tmax / g leaves the float range")
-            # t_s grows with gt, so the first nonzero gt has the smallest nonzero t_s
-            if columns["t_s"][grid > 0.0][0] < sys.float_info.min:
-                raise ValueError("t_s = gt / g leaves the float range at the first nonzero gt")
-        columns["p_down"] = p_down
-        if oracle:
-            columns["p_down_oracle"] = oracle_population_lower(grid, distribution, params, coupling)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    # '%.12g' % x is format(x, '.12g'), nan, inf and -0.0 included
-    row = ",".join(["%.12g"] * len(columns))
-    body = "\n".join([row] * points) % tuple(np.column_stack(list(columns.values())).ravel().tolist())
-    _write_output(",".join(columns) + "\n" + body + "\n", out)
+    with _output(out) as write:
+        try:
+            p_down = population_lower(grid, distribution, params, coupling)
+            if g_rad_s is not None:
+                with np.errstate(over="ignore"):
+                    columns["t_s"] = grid / g_rad_s
+                if not math.isfinite(columns["t_s"][-1]):
+                    raise ValueError("t_s = tmax / g leaves the float range")
+                # t_s grows with gt, so the first nonzero gt has the smallest nonzero t_s
+                if columns["t_s"][grid > 0.0][0] < sys.float_info.min:
+                    raise ValueError("t_s = gt / g leaves the float range at the first nonzero gt")
+            columns["p_down"] = p_down
+            if oracle:
+                columns["p_down_oracle"] = oracle_population_lower(grid, distribution, params, coupling)
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
+        write(",".join(columns) + "\n")
+        # '%.12g' % x is format(x, '.12g'), nan, inf and -0.0 included
+        row = ",".join(["%.12g"] * len(columns)) + "\n"
+        for start in range(0, points, CSV_BLOCK_ROWS):
+            cells = np.column_stack([c[start:start + CSV_BLOCK_ROWS] for c in columns.values()])
+            write((row * len(cells)) % tuple(cells.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -318,16 +329,16 @@ def cmd_budget(l_list, epsilon, eta, ratio, ions_path, n_ops, out):
             ions = feasibility.load_ion_config(ions_path)
         except (OSError, ValueError, RecursionError, json.JSONDecodeError) as exc:
             raise InputError(f"bad ion config: {exc}") from exc
-    _check_output(out)
-    try:
-        report = feasibility.feasibility_report(
-            l_values, epsilon=epsilon, eta=eta, ratio=ratio, ions=ions, n_ops=n_ops
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    click.echo(report.to_text_table())
-    if out is not None:
-        _dump_json(report.to_json_dict(), out)
+    with _output(out) as write:
+        try:
+            report = feasibility.feasibility_report(
+                l_values, epsilon=epsilon, eta=eta, ratio=ratio, ions=ions, n_ops=n_ops
+            )
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
+        click.echo(report.to_text_table())
+        if out is not None:
+            write(_json_text(report.to_json_dict()))
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +361,7 @@ def _verify_or_die(coll, spec):
     except ValueError as exc:  # above the dense oracle's particle limit
         raise InputError(f"cannot verify: {exc}") from exc
     if not ok:
-        click.echo(f"verification mismatch: {message}", err=True)
-        sys.exit(EXIT_VERIFY_MISMATCH)
+        raise VerificationMismatch(f"verification mismatch: {message}")
 
 
 @main.command("swap")
@@ -367,25 +377,25 @@ def cmd_swap(scenario, verify, out):
     """
     from . import catswap
 
-    _check_output(out)
-    try:
-        with open(scenario, encoding="utf-8") as fh:
-            data = json.load(fh)
-        if isinstance(data, dict) and "users" in data:
-            result = catswap.telephone_exchange(
-                _str_list(data["users"], "users"), _str_list(data.get("request", []), "request")
-            )
-            coll = result.collection
-            spec = catswap.MeasurementSpec(result.measured)
-            outcomes = result.outcomes
-        else:
-            coll, spec = catswap.scenario_from_dict(data)
-            outcomes = catswap.enumerate_outcomes(coll, spec)
-    except (OSError, ValueError, TypeError, RecursionError, json.JSONDecodeError) as exc:
-        raise InputError(f"bad scenario: {exc}") from exc
-    if verify:
-        _verify_or_die(coll, spec)
-    _dump_outcomes_json(catswap.outcomes_to_jsonable(coll, spec, ()), outcomes, out)
+    with _output(out) as write:
+        try:
+            with open(scenario, encoding="utf-8") as fh:
+                data = json.load(fh)
+            if isinstance(data, dict) and "users" in data:
+                result = catswap.telephone_exchange(
+                    _str_list(data["users"], "users"), _str_list(data.get("request", []), "request")
+                )
+                coll = result.collection
+                spec = catswap.MeasurementSpec(result.measured)
+                outcomes = result.outcomes
+            else:
+                coll, spec = catswap.scenario_from_dict(data)
+                outcomes = catswap.enumerate_outcomes(coll, spec)
+        except (OSError, ValueError, TypeError, RecursionError, json.JSONDecodeError) as exc:
+            raise InputError(f"bad scenario: {exc}") from exc
+        if verify:
+            _verify_or_die(coll, spec)
+        write(_outcomes_json(catswap.outcomes_to_jsonable(coll, spec, ()), outcomes))
 
 
 @main.command("exchange")
@@ -400,20 +410,20 @@ def cmd_exchange(users, request_, verify, out):
 
     user_list = [u.strip() for u in users.split(",") if u.strip()]
     request_list = [u.strip() for u in request_.split(",") if u.strip()]
-    _check_output(out)
-    try:
-        result = catswap.telephone_exchange(user_list, request_list)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    spec = catswap.MeasurementSpec(result.measured)
-    if verify:
-        _verify_or_die(result.collection, spec)
-    blob = catswap.outcomes_to_jsonable(result.collection, spec, ())
-    blob["users"] = list(result.users)
-    blob["request"] = list(result.request)
-    blob["user_particles"] = dict(result.user_particles)
-    blob["hub_particles"] = dict(result.hub_particles)
-    _dump_outcomes_json(blob, result.outcomes, out)
+    with _output(out) as write:
+        try:
+            result = catswap.telephone_exchange(user_list, request_list)
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
+        spec = catswap.MeasurementSpec(result.measured)
+        if verify:
+            _verify_or_die(result.collection, spec)
+        blob = catswap.outcomes_to_jsonable(result.collection, spec, ())
+        blob["users"] = list(result.users)
+        blob["request"] = list(result.request)
+        blob["user_particles"] = dict(result.user_particles)
+        blob["hub_particles"] = dict(result.hub_particles)
+        write(_outcomes_json(blob, result.outcomes))
 
 
 # ---------------------------------------------------------------------------
@@ -461,30 +471,30 @@ def cmd_ree(state_file, axioms, seed, out):
 
     if not axioms and state_file is None:
         raise click.UsageError("provide a state file or --axioms")
-    _check_output(out)
-    if axioms:
-        report = axiom_harness(seed)
-        _dump_json(report.to_json_dict(), out)
-        if not report.passed:
-            sys.exit(EXIT_VERIFY_MISMATCH)
-        return
-    try:
-        sigma = _load_density(state_file)
-    except (OSError, ValueError, TypeError, OverflowError, RecursionError, json.JSONDecodeError) as exc:
-        raise InputError(f"bad state file: {exc}") from exc
-    try:
-        result = relative_entropy_of_entanglement(sigma)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    _dump_json(
-        {
-            "value_nats": result.value,
-            "value_bits": nats_to_bits(result.value),
-            "converged": result.converged,
-            "restarts": result.restarts_used,
-        },
-        out,
-    )
+    with _output(out) as write:
+        if axioms:
+            report = axiom_harness(seed)
+            write(_json_text(report.to_json_dict()))
+        else:
+            try:
+                sigma = _load_density(state_file)
+            except (OSError, ValueError, TypeError, OverflowError, RecursionError,
+                    json.JSONDecodeError) as exc:
+                raise InputError(f"bad state file: {exc}") from exc
+            try:
+                result = relative_entropy_of_entanglement(sigma)
+            except ValueError as exc:
+                raise InputError(str(exc)) from exc
+            write(_json_text({
+                "value_nats": result.value,
+                "value_bits": nats_to_bits(result.value),
+                "converged": result.converged,
+                "restarts": result.restarts_used,
+            }))
+    # the report is written in full before a failed check exits
+    if axioms and not report.passed:
+        failed = ", ".join(c.axiom for c in report.checks if not c.passed)
+        raise VerificationMismatch(f"axiom checks failed: {failed}")
 
 
 if __name__ == "__main__":

@@ -121,9 +121,11 @@ class DensityOperator:
 
     Validation tolerances: Hermiticity within 1e-10 (max elementwise),
     eigenvalues >= -``eig_tol`` (default 1e-10), trace 1 within 1e-10.
-    ``eig_tol`` may be loosened by producers of numerically integrated
-    states.  It is a field: it takes part in ``==`` and ``repr``, and
-    :func:`partial_trace` passes it on (never below the default).
+    ``eig_tol`` may be loosened by producers whose states carry more
+    rounding, such as the normalized post-measurement branches of
+    ``entanglement.apply_instrument`` (1e-9).  It is a field: it takes
+    part in ``==`` and ``repr``, and :func:`partial_trace` passes it on
+    (never below the default).
     """
 
     matrix: np.ndarray

@@ -476,7 +476,7 @@ def dephasing_oracle_trajectory(
     for blk in blocks:
         rho = np.zeros((2 * n_levels, 2 * n_levels), dtype=complex)
         rho[basis[:, :, None], basis[:, None, :]] = blk
-        out.append(DensityOperator(rho, (2, n_levels), eig_tol=1e-8))
+        out.append(DensityOperator(rho, (2, n_levels)))
     return out
 
 

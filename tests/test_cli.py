@@ -17,7 +17,7 @@ import qlimits
 import qlimits.cli as cli_module
 from helpers import random_swap_scenario
 from qlimits import catswap, feasibility
-from qlimits.cli import MAX_CELLS, MAX_ORACLE_CELLS, MAX_POINTS, main
+from qlimits.cli import CSV_BLOCK_ROWS, MAX_CELLS, MAX_ORACLE_CELLS, MAX_POINTS, main
 from qlimits.jc import (
     CouplingModel,
     DecoherenceParams,
@@ -144,9 +144,10 @@ OUT_CASES = [
 ]
 
 
-def invoke_without_engine(runner, monkeypatch, tmp_path, argv, engine, out):
+def invoke_without_engine(runner, monkeypatch, tmp_path, argv, engine, out,
+                          reason="ran before --out was checked"):
     def refuse(*args, **kwargs):
-        raise AssertionError(f"{engine} ran before --out was checked")
+        raise AssertionError(f"{engine} {reason}")
 
     monkeypatch.setattr(engine, refuse)
     write_standard_swap(tmp_path / "swap.json")
@@ -194,6 +195,68 @@ def test_out_naming_a_pipe_writes_into_it(runner, tmp_path):
     assert text == invoke(runner, "jc", "--points", "3").output
     assert stat.S_ISFIFO(os.stat(pipe).st_mode)
     assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+
+@pytest.mark.parametrize("argv, engine", OUT_CASES)
+def test_failing_engine_keeps_the_old_out_file(runner, monkeypatch, tmp_path, argv, engine):
+    out = tmp_path / "old.json"
+    out.write_text("old bytes")
+    result = invoke_without_engine(runner, monkeypatch, tmp_path, argv, engine, out, reason="failed")
+    assert isinstance(result.exception, AssertionError)
+    assert str(result.exception) == f"{engine} failed"
+    # no .old.json.* temporary file is left beside it
+    assert out.read_text() == "old bytes"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.json", "state.json", "swap.json"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("points", [3, 2 * CSV_BLOCK_ROWS], ids=["on-close", "on-write"])
+def test_out_device_write_error_exits_3(runner, points):
+    # /dev/full fails every write with ENOSPC: a short CSV when its buffer
+    # is flushed on close, a long one while it is written
+    result = runner.invoke(main, ["jc", "--points", str(points), "--out", "/dev/full"])
+    assert result.exit_code == 3, result.output
+    assert "cannot write '/dev/full'" in result.output
+
+
+def test_failed_replace_exits_3_and_leaves_nothing(runner, monkeypatch, tmp_path):
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    out = tmp_path / "curve.csv"
+    result = runner.invoke(main, ["jc", "--points", "3", "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    assert "cannot write" in result.output
+    assert "Permission denied" in result.output
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["jc", "--points", str(CSV_BLOCK_ROWS + 1)],
+    ["swap", "{swap}"],
+    ["exchange", "--users", "A,B,C,D", "--request", "A,B,C"],
+    ["ree", "{state}"],
+], ids=["jc", "swap", "exchange", "ree"])
+def test_out_file_holds_the_stdout_bytes_through_one_temporary(runner, monkeypatch, tmp_path, argv):
+    import tempfile
+
+    write_standard_swap(tmp_path / "swap.json")
+    write_bell(tmp_path / "state.json")
+    argv = [arg.format(swap=tmp_path / "swap.json", state=tmp_path / "state.json") for arg in argv]
+    made = []
+    original = tempfile.NamedTemporaryFile
+
+    def counting(*args, **kwargs):
+        made.append(kwargs.get("prefix"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tempfile, "NamedTemporaryFile", counting)
+    out = tmp_path / "out.txt"
+    assert invoke(runner, *argv, "--out", str(out)).exit_code == 0
+    assert made == [".out.txt."]
+    assert out.read_bytes() == invoke(runner, *argv).stdout_bytes
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "state.json", "swap.json"]
 
 
 class TestJc:
@@ -367,6 +430,20 @@ class TestJc:
                      for i in range(grid.size)]
             assert invoke(runner, "jc", *args).output == "\n".join(rows) + "\n", args
 
+    @pytest.mark.parametrize("points", [CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
+                                        2 * CSV_BLOCK_ROWS + 1])
+    def test_csv_blocks_match_per_cell_format(self, runner, points):
+        distribution = VibrationalDistribution.parse("fock:2")
+        params = DecoherenceParams(0.127, 0.4)
+        grid = np.linspace(0.0, 25.0, points)
+        columns = [grid, grid / 2e5, population_lower(grid, distribution, params, CouplingModel("di")),
+                   oracle_population_lower(grid, distribution, params, CouplingModel("di"))]
+        rows = ["gt,t_s,p_down,p_down_oracle"]
+        rows += [",".join(format(float(col[i]), ".12g") for col in columns) for i in range(points)]
+        output = invoke(runner, "jc", "--dist", "fock:2", "--g", "2e5", "--oracle",
+                        "--points", str(points)).output
+        assert output == "\n".join(rows) + "\n"
+
     def test_percent_format_matches_format(self):
         # the CSV writer relies on '%.12g' % x == format(x, '.12g') for every double
         rng = np.random.default_rng(9)
@@ -472,6 +549,11 @@ class TestBudget:
         assert result.exit_code == 3, result.output
         assert "p2=" not in result.output
 
+    def test_bad_l_list_exits_2(self, runner):
+        result = runner.invoke(main, ["budget", "--L", "4,x"])
+        assert result.exit_code == 2, result.output
+        assert "bad --L list" in result.output
+
     def test_bad_ion_config_exits_3(self, runner, tmp_path):
         ions = tmp_path / "ions.json"
         ions.write_text(json.dumps([{"name": "x"}]))
@@ -517,6 +599,18 @@ class TestSwap:
         monkeypatch.setattr(catswap, "verify_against_oracle", lambda coll, spec: (False, "forced"))
         result = runner.invoke(main, ["swap", str(scenario), "--verify"])
         assert result.exit_code == 4
+
+    def test_verify_mismatch_prints_error_and_keeps_out(self, runner, tmp_path, monkeypatch):
+        scenario = tmp_path / "swap.json"
+        write_standard_swap(scenario)
+        out = tmp_path / "out.json"
+        out.write_text("old bytes")
+        monkeypatch.setattr(catswap, "verify_against_oracle", lambda coll, spec: (False, "forced"))
+        result = runner.invoke(main, ["swap", str(scenario), "--verify", "--out", str(out)])
+        assert result.exit_code == 4
+        assert result.stderr == "Error: verification mismatch: forced\n"
+        assert out.read_text() == "old bytes"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "swap.json"]
 
     @pytest.mark.parametrize("content", [
         {"cats": [{"particles": [1, 2], "bits": [0, 0], "sign": "+"}], "measure": 5},
@@ -588,12 +682,10 @@ def reference_json(blob):
 
 
 class TestOutcomeEmitter:
-    def emitted(self, tmp_path, blob, outcomes):
-        path = tmp_path / "out.json"
-        cli_module._dump_outcomes_json(blob, outcomes, str(path))
-        return path.read_text(encoding="utf-8")
+    def emitted(self, blob, outcomes):
+        return cli_module._outcomes_json(blob, outcomes)
 
-    def test_matches_stdlib_encoder_on_scenarios(self, tmp_path):
+    def test_matches_stdlib_encoder_on_scenarios(self):
         bell = [{"particles": [1, 2], "bits": [0, 0], "sign": "+"},
                 {"particles": [3, 4], "bits": [0, 0], "sign": "+"}]
         scenarios = [
@@ -611,11 +703,11 @@ class TestOutcomeEmitter:
             outcomes = catswap.enumerate_outcomes(coll, spec)
             consumed += outcomes[0].residual is None
             expected = reference_json(catswap.outcomes_to_jsonable(coll, spec, outcomes))
-            assert self.emitted(tmp_path, catswap.outcomes_to_jsonable(coll, spec, ()), outcomes) == expected
+            assert self.emitted(catswap.outcomes_to_jsonable(coll, spec, ()), outcomes) == expected
         assert consumed >= 10
         coll, spec = scenarios[0]
         empty = catswap.outcomes_to_jsonable(coll, spec, ())
-        assert self.emitted(tmp_path, empty, ()) == reference_json(empty)
+        assert self.emitted(empty, ()) == reference_json(empty)
 
     @pytest.mark.parametrize("users, request_", [
         ("A", "A"), ("A,B,C,D", "A,B,C"), ("A,B,C,D,E,F,G,H", "H,B"),
@@ -715,6 +807,13 @@ class TestRee:
         state.write_text(json.dumps({"matrix": matrix, "dims": [2]}))
         result = runner.invoke(main, ["ree", str(state)])
         assert result.exit_code == 3
+
+    def test_file_without_matrix_exits_3(self, runner, tmp_path):
+        state = tmp_path / "bad.json"
+        state.write_text(json.dumps({"dims": [2, 2]}))
+        result = runner.invoke(main, ["ree", str(state)])
+        assert result.exit_code == 3, result.output
+        assert "needs 'matrix'" in result.output
 
     def test_missing_input_exits_2(self, runner):
         result = runner.invoke(main, ["ree"])
@@ -824,3 +923,20 @@ class TestRee:
         monkeypatch.setenv("QLIMITS_SEED", "7")
         assert invoke(runner, "ree", "--axioms").exit_code == 0
         assert captured["seed"] == 7
+
+    def test_failed_axiom_check_exits_4_after_writing_the_report(self, runner, tmp_path, monkeypatch):
+        from qlimits import entanglement
+
+        report = entanglement.AxiomReport((
+            entanglement.AxiomCheck("E1", "separable states", True, 2, 0.0),
+            entanglement.AxiomCheck("E3", "monotonicity", False, 1, 0.5),
+        ))
+        monkeypatch.setattr(entanglement, "axiom_harness", lambda seed: report)
+        out = tmp_path / "axioms.json"
+        result = runner.invoke(main, ["ree", "--axioms", "--out", str(out)])
+        assert result.exit_code == 4
+        assert result.stderr == "Error: axiom checks failed: E3\n"
+        assert json.loads(out.read_text()) == report.to_json_dict()
+        result = runner.invoke(main, ["ree", "--axioms"])
+        assert result.exit_code == 4
+        assert json.loads(result.stdout) == report.to_json_dict()
