@@ -46,8 +46,8 @@ __all__ = [
     "DenseOutcome",
     "ExchangeResult",
     "enumerate_outcomes",
-    "project_outcome",
     "polygon_counts",
+    "untouched_cats",
     "brute_force_oracle",
     "verify_against_oracle",
     "telephone_exchange",
@@ -182,34 +182,26 @@ class DenseOutcome:
 
 
 def _split_by_measurement(coll: CatCollection, spec: MeasurementSpec):
-    known = set(coll.particles)
-    missing = spec.selected - known
+    """(touched cats, sorted unmeasured particles of the touched cats, untouched cats)."""
+    missing = spec.selected.difference(coll.particles)
     if missing:
         raise ValueError(f"selected particles {sorted(missing)} are not in the collection")
     touched = []
     untouched = []
     for cat in coll.cats:
-        sel = tuple(p for p in cat.particles if p in spec.selected)
-        rest = tuple(p for p in cat.particles if p not in spec.selected)
-        if sel:
-            touched.append((cat, sel, rest))
-        else:
-            untouched.append(cat)
-    return touched, untouched
+        (untouched if spec.selected.isdisjoint(cat.particles) else touched).append(cat)
+    rest_order = tuple(sorted(p for cat in touched for p in cat.particles if p not in spec.selected))
+    return touched, rest_order, tuple(untouched)
 
 
 def untouched_cats(coll: CatCollection, spec: MeasurementSpec) -> tuple[CatState, ...]:
     """Cats with no selected particle; they pass through every outcome."""
-    _, untouched = _split_by_measurement(coll, spec)
-    return tuple(untouched)
+    return _split_by_measurement(coll, spec)[2]
 
 
 def polygon_counts(coll: CatCollection, spec: MeasurementSpec) -> tuple[int, int]:
     """(measured-side size, residual-side size) over the touched cats."""
-    touched, _ = _split_by_measurement(coll, spec)
-    p = len(spec.selected)
-    touched_total = sum(cat.n_particles for cat, _, _ in touched)
-    return p, touched_total - p
+    return len(spec.selected), len(_split_by_measurement(coll, spec)[1])
 
 
 def _canonical_cat(particles: tuple[int, ...], bits: tuple[int, ...], sign: int) -> CatState:
@@ -229,33 +221,6 @@ def _canonical_cat(particles: tuple[int, ...], bits: tuple[int, ...], sign: int)
     return cat
 
 
-def _branch_outcomes(touched, sel_order, rest_order, branches, signs, sign_product):
-    """The outcomes of one branch assignment, one per basis sign in ``signs``."""
-    bit = {}
-    for (cat, _, _), flip in zip(touched, branches):
-        for p, b in zip(cat.particles, cat.bits):
-            bit[p] = b ^ flip
-    v = tuple(map(bit.__getitem__, sel_order))
-    n_touched = len(touched)
-    if rest_order:
-        w = tuple(map(bit.__getitem__, rest_order))
-        return [
-            SwapOutcome(
-                _canonical_cat(sel_order, v, s),
-                0.5**n_touched,
-                _canonical_cat(rest_order, w, s * sign_product),
-            )
-            for s in signs
-        ]
-    # all touched cats fully consumed: the two expansion branches
-    # interfere, leaving only the sign that matches the collection
-    return [
-        SwapOutcome(_canonical_cat(sel_order, v, s), 0.5 ** (n_touched - 1), None)
-        for s in signs
-        if s == sign_product
-    ]
-
-
 def enumerate_outcomes(coll: CatCollection, spec: MeasurementSpec) -> list[SwapOutcome]:
     """All nonzero-probability cat-basis outcomes, in the documented order.
 
@@ -265,48 +230,40 @@ def enumerate_outcomes(coll: CatCollection, spec: MeasurementSpec) -> list[SwapO
     ValueError, before enumerating, when there would be more than
     ``MAX_OUTCOMES`` outcomes.
     """
-    touched, _ = _split_by_measurement(coll, spec)
+    touched, rest_order, _ = _split_by_measurement(coll, spec)
     sel_order = tuple(sorted(spec.selected))
-    rest_order = tuple(sorted(p for _, _, rest in touched for p in rest))
+    n_touched = len(touched)
     # 2 signs per branch assignment, halved when the touched cats are consumed
-    count = 2 ** (len(touched) if rest_order else len(touched) - 1)
+    count = 2 ** (n_touched if rest_order else n_touched - 1)
     if count > MAX_OUTCOMES:
         raise ValueError(f"{count} outcomes exceed the limit MAX_OUTCOMES = {MAX_OUTCOMES}")
-    sign_product = math.prod(cat.sign for cat, _, _ in touched)
+    sign_product = math.prod(cat.sign for cat in touched)
     outcomes = []
     # the complement branch assignment repeats the canonical basis, so
     # the first touched cat's branch is fixed to 0
-    for tail in itertools.product((0, 1), repeat=len(touched) - 1):
-        outcomes += _branch_outcomes(
-            touched, sel_order, rest_order, (0, *tail), (+1, -1), sign_product
-        )
+    for tail in itertools.product((0, 1), repeat=n_touched - 1):
+        bit = {}
+        for cat, flip in zip(touched, (0, *tail)):
+            for p, b in zip(cat.particles, cat.bits):
+                bit[p] = b ^ flip
+        v = tuple(map(bit.__getitem__, sel_order))
+        if rest_order:
+            w = tuple(map(bit.__getitem__, rest_order))
+            outcomes += [
+                SwapOutcome(
+                    _canonical_cat(sel_order, v, s),
+                    0.5**n_touched,
+                    _canonical_cat(rest_order, w, s * sign_product),
+                )
+                for s in (+1, -1)
+            ]
+        else:
+            # all touched cats fully consumed: the two expansion branches
+            # interfere, leaving only the sign that matches the collection
+            outcomes.append(
+                SwapOutcome(_canonical_cat(sel_order, v, sign_product), 0.5 ** (n_touched - 1), None)
+            )
     return sorted(outcomes, key=lambda o: (o.basis.bits, 0 if o.basis.sign > 0 else 1))
-
-
-def project_outcome(coll: CatCollection, spec: MeasurementSpec, basis: CatState):
-    """Single-outcome projection; None marks probability zero.
-
-    ``basis`` must be a canonical cat on exactly the selected particles.
-    """
-    touched, _ = _split_by_measurement(coll, spec)
-    sel_order = tuple(sorted(spec.selected))
-    if basis.particles != sel_order:
-        raise ValueError(
-            f"basis lives on particles {basis.particles}, measurement selects {sel_order}"
-        )
-    basis_bit = dict(zip(basis.particles, basis.bits))
-    branches = []
-    for cat, _, _ in touched:
-        flips = {basis_bit[p] ^ b for p, b in zip(cat.particles, cat.bits) if p in basis_bit}
-        if len(flips) != 1:
-            return None
-        branches.append(flips.pop())
-    rest_order = tuple(sorted(p for _, _, rest in touched for p in rest))
-    sign_product = math.prod(cat.sign for cat, _, _ in touched)
-    outcome = _branch_outcomes(
-        touched, sel_order, rest_order, branches, (basis.sign,), sign_product
-    )
-    return outcome[0] if outcome else None
 
 
 # ---------------------------------------------------------------------------
@@ -531,11 +488,11 @@ def _cat_to_jsonable(cat: CatState | None):
 
 def outcomes_to_jsonable(coll, spec, outcomes) -> dict:
     """JSON-ready structure for a scenario's outcomes."""
-    p, rest = polygon_counts(coll, spec)
+    _, rest_order, untouched = _split_by_measurement(coll, spec)
     return {
         "measure": sorted(spec.selected),
-        "polygon_counts": [p, rest],
-        "untouched": [_cat_to_jsonable(cat) for cat in untouched_cats(coll, spec)],
+        "polygon_counts": [len(spec.selected), len(rest_order)],
+        "untouched": [_cat_to_jsonable(cat) for cat in untouched],
         "outcomes": [
             {
                 "basis_bits": list(o.basis.bits),

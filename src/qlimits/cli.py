@@ -327,7 +327,7 @@ def cmd_budget(l_list, epsilon, eta, ratio, ions_path, n_ops, out):
         # json.load raises RecursionError on nesting deeper than the recursion limit
         try:
             ions = feasibility.load_ion_config(ions_path)
-        except (OSError, ValueError, RecursionError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise InputError(f"bad ion config: {exc}") from exc
     with _output(out) as write:
         try:
@@ -353,15 +353,19 @@ def _str_list(value, what) -> list:
     return value
 
 
-def _verify_or_die(coll, spec):
-    from .catswap import verify_against_oracle
+def _write_outcomes(write, coll, spec, outcomes, verify, **extra):
+    """Check the outcomes against the dense oracle if ``verify``, then write
+    the outcome document with the keys of ``extra`` added."""
+    from .catswap import outcomes_to_jsonable, verify_against_oracle
 
-    try:
-        ok, message = verify_against_oracle(coll, spec)
-    except ValueError as exc:  # above the dense oracle's particle limit
-        raise InputError(f"cannot verify: {exc}") from exc
-    if not ok:
-        raise VerificationMismatch(f"verification mismatch: {message}")
+    if verify:
+        try:
+            ok, message = verify_against_oracle(coll, spec)
+        except ValueError as exc:  # above the dense oracle's particle limit
+            raise InputError(f"cannot verify: {exc}") from exc
+        if not ok:
+            raise VerificationMismatch(f"verification mismatch: {message}")
+    write(_outcomes_json({**outcomes_to_jsonable(coll, spec, ()), **extra}, outcomes))
 
 
 @main.command("swap")
@@ -391,11 +395,9 @@ def cmd_swap(scenario, verify, out):
             else:
                 coll, spec = catswap.scenario_from_dict(data)
                 outcomes = catswap.enumerate_outcomes(coll, spec)
-        except (OSError, ValueError, TypeError, RecursionError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, TypeError, RecursionError) as exc:
             raise InputError(f"bad scenario: {exc}") from exc
-        if verify:
-            _verify_or_die(coll, spec)
-        write(_outcomes_json(catswap.outcomes_to_jsonable(coll, spec, ()), outcomes))
+        _write_outcomes(write, coll, spec, outcomes, verify)
 
 
 @main.command("exchange")
@@ -415,15 +417,11 @@ def cmd_exchange(users, request_, verify, out):
             result = catswap.telephone_exchange(user_list, request_list)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
-        spec = catswap.MeasurementSpec(result.measured)
-        if verify:
-            _verify_or_die(result.collection, spec)
-        blob = catswap.outcomes_to_jsonable(result.collection, spec, ())
-        blob["users"] = list(result.users)
-        blob["request"] = list(result.request)
-        blob["user_particles"] = dict(result.user_particles)
-        blob["hub_particles"] = dict(result.hub_particles)
-        write(_outcomes_json(blob, result.outcomes))
+        _write_outcomes(
+            write, result.collection, catswap.MeasurementSpec(result.measured), result.outcomes,
+            verify, users=result.users, request=result.request,
+            user_particles=result.user_particles, hub_particles=result.hub_particles,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +459,8 @@ def _is_number_pair(cell) -> bool:
 @main.command("ree")
 @click.argument("state_file", type=click.Path(), required=False)
 @click.option("--axioms", is_flag=True, help="Run the E1-E6 axiom harness instead.")
-@click.option("--seed", type=int, default=0, envvar="QLIMITS_SEED", show_default=True,
+@click.option("--seed", type=click.IntRange(min=0), default=0, envvar="QLIMITS_SEED",
+              show_default=True,
               help="Seed for the random cases of --axioms (QLIMITS_SEED is the fallback).")
 @click.option("--out", default="-", show_default=True, help="JSON destination.")
 def cmd_ree(state_file, axioms, seed, out):
@@ -478,8 +477,7 @@ def cmd_ree(state_file, axioms, seed, out):
         else:
             try:
                 sigma = _load_density(state_file)
-            except (OSError, ValueError, TypeError, OverflowError, RecursionError,
-                    json.JSONDecodeError) as exc:
+            except (OSError, ValueError, TypeError, OverflowError, RecursionError) as exc:
                 raise InputError(f"bad state file: {exc}") from exc
             try:
                 result = relative_entropy_of_entanglement(sigma)

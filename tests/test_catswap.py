@@ -15,7 +15,6 @@ from qlimits.catswap import (
     enumerate_outcomes,
     outcomes_to_jsonable,
     polygon_counts,
-    project_outcome,
     SwapOutcome,
     scenario_from_dict,
     telephone_exchange,
@@ -183,13 +182,6 @@ class TestFullConsumption:
         assert outcomes[0].basis == cat
         assert outcomes[0].residual is None
 
-    def test_projection_onto_wrong_sign_is_zero(self):
-        cat = CatState((1, 2, 3), (0, 1, 1), "-")
-        coll = CatCollection((cat,))
-        spec = MeasurementSpec({1, 2, 3})
-        flipped = CatState((1, 2, 3), (0, 1, 1), "+")
-        assert project_outcome(coll, spec, flipped) is None
-
     def test_oracle_agreement(self):
         coll = CatCollection((CatState((1, 2, 3), (0, 1, 1), "-"), CatState((5, 6), (0, 1), "+")))
         ok, message = verify_against_oracle(coll, MeasurementSpec({1, 2, 3, 5}))
@@ -211,33 +203,29 @@ class TestFullConsumption:
 
 
 class TestProjectOutcome:
-    def test_matches_enumeration(self):
-        coll, spec = fig5_scenario()
-        for outcome in enumerate_outcomes(coll, spec):
-            got = project_outcome(coll, spec, outcome.basis)
-            assert got == outcome
+    """Projections onto single cat-basis outcomes, read from the enumeration."""
 
     def test_incompatible_pattern_zero(self):
-        # both Bell pairs have correlated bits; an anti-correlated basis
-        # pattern on particles of the same cat cannot appear
+        # the GHZ cat has correlated bits; an anti-correlated basis pattern
+        # on two of its particles cannot appear
         coll = CatCollection((CatState((1, 2, 3), (0, 0, 0), "+"),))
         spec = MeasurementSpec({1, 2})
-        basis = CatState((1, 2), (0, 1), "+")
-        assert project_outcome(coll, spec, basis) is None
-
-    def test_wrong_particle_set_rejected(self):
-        coll, spec = standard_swap()
-        with pytest.raises(ValueError, match="selects"):
-            project_outcome(coll, spec, CatState((1, 2), (0, 0), "+"))
+        assert {o.basis.bits for o in enumerate_outcomes(coll, spec)} == {(0, 0)}
+        assert {o.basis.bits for o in brute_force_oracle(coll, spec)} == {(0, 0)}
+        ok, message = verify_against_oracle(coll, spec)
+        assert ok, message
 
     def test_sign_bookkeeping_against_oracle(self):
         # initial signs (-, -) with a (+) basis: residual sign comes out
         # of the expansion; trust the dense algebra
         coll = CatCollection((CatState((1, 2), (0, 0), "-"), CatState((3, 4), (0, 0), "-")))
         spec = MeasurementSpec({2, 3})
-        outcome = project_outcome(coll, spec, CatState((2, 3), (0, 0), "+"))
-        assert outcome is not None
+        (outcome,) = [o for o in enumerate_outcomes(coll, spec)
+                      if o.basis == CatState((2, 3), (0, 0), "+")]
         assert outcome.residual.sign == +1  # (+) basis times (-)(-) collection
+        (dense,) = [o for o in brute_force_oracle(coll, spec) if o.basis == outcome.basis]
+        expected = cats_dense_vector([outcome.residual], dense.residual_particles)
+        assert abs(np.vdot(expected, dense.residual_vector)) == pytest.approx(1.0, abs=1e-12)
         ok, message = verify_against_oracle(coll, spec)
         assert ok, message
 

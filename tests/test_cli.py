@@ -924,6 +924,24 @@ class TestRee:
         assert invoke(runner, "ree", "--axioms").exit_code == 0
         assert captured["seed"] == 7
 
+    @pytest.mark.parametrize("argv, env", [
+        (["--seed", "-1"], {}),
+        ([], {"QLIMITS_SEED": "-5"}),
+    ], ids=["option", "env"])
+    def test_negative_seed_exits_2_before_the_harness(self, runner, tmp_path, monkeypatch, argv, env):
+        from qlimits import entanglement
+
+        def refuse(seed):
+            raise AssertionError("the axiom harness ran on a negative seed")
+
+        monkeypatch.setattr(entanglement, "axiom_harness", refuse)
+        out = tmp_path / "axioms.json"
+        result = runner.invoke(main, ["ree", "--axioms", *argv, "--out", str(out)], env=env)
+        assert result.exit_code == 2, result.output
+        assert "Invalid value for '--seed'" in result.stderr
+        assert result.stdout == ""
+        assert not out.exists()
+
     def test_failed_axiom_check_exits_4_after_writing_the_report(self, runner, tmp_path, monkeypatch):
         from qlimits import entanglement
 
