@@ -17,26 +17,10 @@ Library and CLI covering four areas:
   numerical minimization over separable states, with an axiom harness
   and the distillation bound.
 
-``qlimits.core`` provides the shared state/operator arithmetic.  Its
-public names are also package attributes, loaded on first access
-(PEP 562), so ``import qlimits`` alone loads no numpy.
+``qlimits.core`` provides the shared state/operator arithmetic.
 """
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "DensityOperator",
-    "KindMismatchError",
-    "PureState",
-    "nats_to_bits",
-    "partial_trace",
-    "quantum_relative_entropy",
-    "tensor_product",
-    "von_neumann_entropy",
-    "__version__",
-]
-
-_CORE_NAMES = frozenset(__all__) - {"__version__"}
 
 
 def _json_excerpt(value) -> str:
@@ -49,15 +33,3 @@ def _json_excerpt(value) -> str:
     except (TypeError, ValueError):
         text = repr(value)
     return text if len(text) <= 60 else text[:60] + "..."
-
-
-def __getattr__(name):
-    if name in _CORE_NAMES:
-        from . import core
-
-        return getattr(core, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | _CORE_NAMES)

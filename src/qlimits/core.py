@@ -81,35 +81,6 @@ class PureState:
         object.__setattr__(self, "amplitudes", _frozen_array(amps))
         object.__setattr__(self, "dims", dims)
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-    @classmethod
-    def computational(cls, bits, dims=None) -> "PureState":
-        """Basis ket |b1 b2 ...>; ``dims`` defaults to all-qubit."""
-        bits = tuple(int(b) for b in bits)
-        if dims is None:
-            dims = (2,) * len(bits)
-        dims = _as_dims(dims)
-        if len(bits) != len(dims) or any(not 0 <= b < d for b, d in zip(bits, dims)):
-            raise ValueError(f"invalid basis label {bits} for dims {dims}")
-        index = 0
-        for b, d in zip(bits, dims):
-            index = index * d + b
-        amps = np.zeros(math.prod(dims), dtype=complex)
-        amps[index] = 1.0
-        return cls(amps, dims)
-
-    @classmethod
-    def normalized(cls, vector, dims) -> "PureState":
-        """Build a state from an unnormalized vector."""
-        vector = np.asarray(vector, dtype=complex).reshape(-1)
-        norm = np.linalg.norm(vector)
-        if norm == 0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(vector / norm, dims)
-
     def density(self) -> "DensityOperator":
         """Projector |psi><psi| as a density operator."""
         return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()), self.dims)
@@ -158,12 +129,6 @@ class DensityOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @classmethod
-    def maximally_mixed(cls, dims) -> "DensityOperator":
-        dims = _as_dims(dims)
-        d = math.prod(dims)
-        return cls(np.eye(d, dtype=complex) / d, dims)
 
 
 def tensor_product(a, b):

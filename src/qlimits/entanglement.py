@@ -482,16 +482,15 @@ def classical_correlations(sigma: DensityOperator) -> ClassicalCorrelationsResul
     return ClassicalCorrelationsResult(value=value, mutual_information=float(mutual_information))
 
 
-def distillation_bound(n_pairs: int, sigma: DensityOperator, *, entanglement: float | None = None) -> int:
-    """Largest M with N E(sigma) >= M ln 2: floor(N E / ln 2).
+def distillation_bound(n_pairs: int, entanglement: float) -> int:
+    """Largest M with N E >= M ln 2: floor(N E / ln 2), for E the
+    entanglement of one pair in nats.
 
     A 1e-9 epsilon absorbs optimizer rounding just below integer
     boundaries.
     """
     if n_pairs < 0:
         raise ValueError("pair count must be >= 0")
-    if entanglement is None:
-        entanglement = relative_entropy_of_entanglement(sigma).value
     return int(math.floor(n_pairs * entanglement / LN2 + 1e-9))
 
 
@@ -589,6 +588,10 @@ class AxiomReport:
 # the only source of the counts, as the checks take ``n_cases`` as a
 # required argument.
 _HARNESS_CASES = (20, 20, 10, 5, 20)
+# Pass thresholds in nats: E1-E5 allow the descent's rounding, E6 the gap
+# of its upper bounds on a single pair and on the pair state.
+_AXIOM_TOL = 1e-3
+_ADDITIVITY_TOL = 2e-2
 
 
 def bell_state() -> DensityOperator:
@@ -603,17 +606,17 @@ def _random_two_qubit_state(rng) -> DensityOperator:
     return DensityOperator(m / np.trace(m).real, (2, 2))
 
 
-def check_separable_zero(measure, *, n_cases, seed=0, tol=1e-3) -> AxiomCheck:
+def check_separable_zero(measure, *, n_cases, seed=0) -> AxiomCheck:
     """E1 (zero direction): random separable states measure ~0."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_cases):
         sigma = random_separable(rng, (2, 2))
         worst = max(worst, measure(sigma))
-    return AxiomCheck("E1", "separable states have zero measure", worst < tol, n_cases, worst)
+    return AxiomCheck("E1", "separable states have zero measure", worst < _AXIOM_TOL, n_cases, worst)
 
 
-def check_local_unitary_invariance(measure, *, n_cases, seed=0, tol=1e-3) -> AxiomCheck:
+def check_local_unitary_invariance(measure, *, n_cases, seed=0) -> AxiomCheck:
     """E2: invariance under U_A (x) U_B conjugation of a Bell state."""
     rng = np.random.default_rng(seed)
     sigma = bell_state()
@@ -624,13 +627,13 @@ def check_local_unitary_invariance(measure, *, n_cases, seed=0, tol=1e-3) -> Axi
         u = np.kron(_random_unitary(rng, d_a), _random_unitary(rng, d_b))
         rotated = DensityOperator(u @ sigma.matrix @ u.conj().T, sigma.dims)
         worst = max(worst, abs(measure(rotated) - reference))
-    return AxiomCheck("E2", "local unitary invariance", worst < tol, n_cases, worst)
+    return AxiomCheck("E2", "local unitary invariance", worst < _AXIOM_TOL, n_cases, worst)
 
 
-def check_lgm_monotonicity(measure, *, n_cases, seed=0, tol=1e-3) -> AxiomCheck:
+def check_lgm_monotonicity(measure, *, n_cases, seed=0) -> AxiomCheck:
     """E3: expected measure cannot grow under local instruments.
 
-    sum_i tr(sigma_i) E(sigma_i / tr sigma_i) <= E(sigma) + tol for
+    sum_i tr(sigma_i) E(sigma_i / tr sigma_i) <= E(sigma) + 1e-3 for
     random local generalized measurements with post-selection, on a Bell
     state and one random two-qubit state.
     """
@@ -645,12 +648,12 @@ def check_lgm_monotonicity(measure, *, n_cases, seed=0, tol=1e-3) -> AxiomCheck:
             after = sum(p * measure(branch) for p, branch in apply_instrument(sigma, kraus))
             worst = max(worst, after - before)
             count += 1
-    return AxiomCheck("E3", "monotone under local instruments", worst <= tol, count, worst)
+    return AxiomCheck("E3", "monotone under local instruments", worst <= _AXIOM_TOL, count, worst)
 
 
-def check_continuity(measure, *, n_cases, seed=0, tol=1e-3) -> AxiomCheck:
+def check_continuity(measure, *, n_cases, seed=0) -> AxiomCheck:
     """E4: mixing in 1% of another state moves the measure by at most 10x
-    the trace distance, plus ``tol``."""
+    the trace distance, plus 1e-3."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_cases):
@@ -660,10 +663,10 @@ def check_continuity(measure, *, n_cases, seed=0, tol=1e-3) -> AxiomCheck:
         trace_dist = 0.5 * float(np.abs(np.linalg.eigvalsh(sigma.matrix - mixed.matrix)).sum())
         delta = abs(measure(sigma) - measure(mixed))
         worst = max(worst, delta - 10.0 * trace_dist)
-    return AxiomCheck("E4", "continuity under perturbation", worst <= tol, n_cases, worst)
+    return AxiomCheck("E4", "continuity under perturbation", worst <= _AXIOM_TOL, n_cases, worst)
 
 
-def check_pure_state_reduction(measure, *, n_cases, seed=0, tol=1e-3) -> AxiomCheck:
+def check_pure_state_reduction(measure, *, n_cases, seed=0) -> AxiomCheck:
     """E5: on pure states the measure is the reduced-state entropy."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -672,7 +675,7 @@ def check_pure_state_reduction(measure, *, n_cases, seed=0, tol=1e-3) -> AxiomCh
         psi = PureState(z / np.linalg.norm(z), (2, 2))
         expected = pure_state_entanglement(psi)
         worst = max(worst, abs(measure(psi.density()) - expected))
-    return AxiomCheck("E5", "reduces to reduced-state entropy on pure states", worst < tol, n_cases, worst)
+    return AxiomCheck("E5", "reduces to reduced-state entropy on pure states", worst < _AXIOM_TOL, n_cases, worst)
 
 
 def pair_state(sigma1: DensityOperator, sigma2: DensityOperator) -> DensityOperator:
@@ -688,8 +691,7 @@ def pair_state(sigma1: DensityOperator, sigma2: DensityOperator) -> DensityOpera
     return DensityOperator(t.reshape(a1 * a2 * b1 * b2, -1), dims)
 
 
-def check_additivity_pair(measure, sigma1: DensityOperator, sigma2: DensityOperator,
-                          *, tol=2e-2) -> AxiomCheck:
+def check_additivity_pair(measure, sigma1: DensityOperator, sigma2: DensityOperator) -> AxiomCheck:
     """E6 on one specific pair; no universality is claimed.
 
     Later literature disputes additivity of this measure in general, so
@@ -698,7 +700,7 @@ def check_additivity_pair(measure, sigma1: DensityOperator, sigma2: DensityOpera
     single = measure(sigma1) + measure(sigma2)
     joint = measure(pair_state(sigma1, sigma2))
     gap = abs(joint - single)
-    return AxiomCheck("E6", "additivity on a specific pair (report only)", gap < tol, 1, gap)
+    return AxiomCheck("E6", "additivity on a specific pair (report only)", gap < _ADDITIVITY_TOL, 1, gap)
 
 
 def axiom_harness(seed: int = 0) -> AxiomReport:

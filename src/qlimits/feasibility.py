@@ -29,7 +29,6 @@ __all__ = [
     "MUCH_GREATER",
     "MUCH_LESS",
     "GATE_ERROR_THRESHOLD",
-    "EPSILON_ORDER_OF_MAGNITUDE",
     "EPSILON_WORKED",
     "FACTORIZATION_L_BAND",
     "BoundValue",
@@ -62,9 +61,7 @@ MUCH_LESS = "much_less"
 # correction is not expected to converge.
 GATE_ERROR_THRESHOLD = 1e-6
 
-# Step-count constant presets: "of order 400" and the value used in the
-# worked examples.
-EPSILON_ORDER_OF_MAGNITUDE = 400.0
+# Step-count constant of the worked examples (the paper's "of order 400").
 EPSILON_WORKED = 500.0
 
 # Input sizes bracketing the 23-digit factorization benchmark

@@ -39,7 +39,6 @@ __all__ = [
     "DecoherenceParams",
     "VibrationalDistribution",
     "OverdampedError",
-    "jc_hamiltonian",
     "dressed_states",
     "mean_reservoir_occupation",
     "rate_exponent",
@@ -208,33 +207,14 @@ class VibrationalDistribution:
         raise ValueError(f"unknown distribution kind {kind!r}")
 
 
-def jc_hamiltonian(n_levels: int, g: float = 1.0) -> np.ndarray:
-    """Exchange Hamiltonian over spin (x) n_levels motional states, in units of hbar.
-
-    Couples |up, n> with |down, n+1> at strength g*sqrt(n+1).
-    """
-    if n_levels < 1:
-        raise ValueError("need at least one motional level")
-    dim = 2 * n_levels
-    h = np.zeros((dim, dim))
-    for n in range(n_levels - 1):
-        up_n = n_levels + n          # spin index 1 block
-        down_n1 = n + 1              # spin index 0 block
-        h[up_n, down_n1] = h[down_n1, up_n] = g * math.sqrt(n + 1)
-    return h
-
-
-def dressed_states(n: int, n_levels: int | None = None) -> tuple[PureState, PureState]:
+def dressed_states(n: int, n_levels: int) -> tuple[PureState, PureState]:
     """Doublet eigenstates (|up,n> +- |down,n+1>)/sqrt(2).
 
     Eigenvalues are +- hbar g sqrt(n+1); the plus branch is returned
-    first.  ``n_levels`` is the motional truncation (default n+2, the
-    minimum).
+    first.  ``n_levels`` is the motional truncation, at least n+2.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n_levels is None:
-        n_levels = n + 2
     if n_levels < n + 2:
         raise ValueError(f"truncation {n_levels} too small for doublet n={n} (need >= {n + 2})")
     dim = 2 * n_levels

@@ -262,7 +262,7 @@ def test_criterion_distillation_bound():
     """N Bell pairs distill exactly N singlets for N <= 100."""
     e_bell = relative_entropy_of_entanglement(bell_state()).value
     for n in range(0, 101):
-        assert distillation_bound(n, bell_state(), entanglement=e_bell) == n
+        assert distillation_bound(n, e_bell) == n
     report_pass("distillation-bound", "distillation_bound(N, Bell) == N for N = 0..100")
 
 

@@ -1,12 +1,15 @@
 """Tests for the cat-state swapping engine and its dense oracle."""
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+import qlimits.catswap as catswap_module
 from qlimits.catswap import (
     BRUTE_FORCE_LIMIT,
     MAX_OUTCOMES,
+    ORACLE_ATOL,
     CatCollection,
     CatState,
     MeasurementSpec,
@@ -306,6 +309,39 @@ def reference_outcomes(coll, spec):
             elif sign == sign_product:
                 outcomes.append(SwapOutcome(basis, 0.5 ** (len(touched) - 1), None))
     return sorted(outcomes, key=lambda o: (o.basis.bits, o.basis.sign_char()))
+
+
+def _flip_residual_signs(outcomes):
+    return [dataclasses.replace(o, residual=CatState(o.residual.particles, o.residual.bits, -o.residual.sign))
+            for o in outcomes]
+
+
+# One corruption per mismatch return of verify_against_oracle, applied to
+# the standard swap's four outcomes on the symbolic or the dense side.
+ORACLE_MISMATCHES = [
+    pytest.param("brute_force_oracle", lambda out: out[:-1],
+                 "outcome counts differ: symbolic 4 vs dense 3", id="count"),
+    pytest.param("enumerate_outcomes", lambda out: out[::-1], "support mismatch at basis", id="support"),
+    pytest.param("enumerate_outcomes", lambda out: [dataclasses.replace(out[0], probability=0.5), *out[1:]],
+                 "probability mismatch at", id="probability"),
+    pytest.param("brute_force_oracle", lambda out: [dataclasses.replace(o, residual_vector=None) for o in out],
+                 "dense residual empty but symbolic has", id="empty-dense-residual"),
+    pytest.param("enumerate_outcomes", _flip_residual_signs, "residual ray mismatch at", id="residual-ray"),
+    # each probability within ORACLE_ATOL, their sum 2e-10 above 1
+    pytest.param("enumerate_outcomes",
+                 lambda out: [dataclasses.replace(o, probability=o.probability + 0.5 * ORACLE_ATOL) for o in out],
+                 "probabilities sum to", id="probability-sum"),
+]
+
+
+class TestVerifyMismatches:
+    @pytest.mark.parametrize("side, corrupt, message", ORACLE_MISMATCHES)
+    def test_each_mismatch_is_reported(self, monkeypatch, side, corrupt, message):
+        original = getattr(catswap_module, side)
+        monkeypatch.setattr(catswap_module, side, lambda coll, spec: corrupt(original(coll, spec)))
+        ok, text = verify_against_oracle(*standard_swap())
+        assert not ok
+        assert text.startswith(message), text
 
 
 class TestRandomizedOracleEquivalence:

@@ -111,12 +111,6 @@ def test_each_command_imports_only_what_it_runs(tmp_path, argv, loaded, not_load
     assert not (not_loaded & modules)
 
 
-def test_package_loads_core_names_on_first_access():
-    result = run_python("-c", "import sys, qlimits; print('numpy' in sys.modules, "
-                              "set(qlimits.__all__) <= set(dir(qlimits)), qlimits.PureState.__module__)")
-    assert result.stdout.split() == ["False", "True", "qlimits.core"]
-
-
 PUBLIC_MODULES = [
     mod for mod in (importlib.import_module(f"qlimits.{m.name}") for m in pkgutil.iter_modules(qlimits.__path__))
     if hasattr(mod, "__all__")
@@ -311,11 +305,15 @@ class TestJc:
         result = runner.invoke(main, ["jc", "--dist", "squeezed:1"])
         assert result.exit_code == 3
 
-    @pytest.mark.parametrize("spec", ["coherent:1e9", "thermal:1e9"])
-    def test_huge_distribution_exits_3(self, runner, spec):
+    @pytest.mark.parametrize("spec, message", [
+        ("coherent:1e9", "MAX_LEVELS"),
+        ("thermal:1e9", "MAX_LEVELS"),
+        ("fock:-1", "Error: Fock index must be >= 0"),
+    ], ids=["coherent:1e9", "thermal:1e9", "fock:-1"])
+    def test_huge_distribution_exits_3(self, runner, spec, message):
         result = runner.invoke(main, ["jc", "--dist", spec, "--points", "2"])
         assert result.exit_code == 3
-        assert "MAX_LEVELS" in result.output
+        assert message in result.output
 
     def test_bad_grid_exits_2(self, runner):
         result = runner.invoke(main, ["jc", "--tmax", "-1"])
@@ -600,6 +598,17 @@ class TestSwap:
         result = runner.invoke(main, ["swap", str(scenario), "--verify"])
         assert result.exit_code == 4
 
+    def test_oracle_mismatch_exits_4(self, runner, tmp_path, monkeypatch):
+        # the dense oracle loses an outcome, so the real comparison fails
+        scenario = tmp_path / "swap.json"
+        write_standard_swap(scenario)
+        oracle = catswap.brute_force_oracle
+        monkeypatch.setattr(catswap, "brute_force_oracle", lambda coll, spec: oracle(coll, spec)[:-1])
+        result = runner.invoke(main, ["swap", str(scenario), "--verify"])
+        assert result.exit_code == 4
+        assert result.stderr == "Error: verification mismatch: outcome counts differ: symbolic 4 vs dense 3\n"
+        assert result.stdout == ""
+
     def test_verify_mismatch_prints_error_and_keeps_out(self, runner, tmp_path, monkeypatch):
         scenario = tmp_path / "swap.json"
         write_standard_swap(scenario)
@@ -612,17 +621,21 @@ class TestSwap:
         assert out.read_text() == "old bytes"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "swap.json"]
 
-    @pytest.mark.parametrize("content", [
-        {"cats": [{"particles": [1, 2], "bits": [0, 0], "sign": "+"}], "measure": 5},
-        {"users": 5, "request": ["A"]},
-        {"users": ["A", "B"], "request": 5},
-    ])
-    def test_wrong_shape_exits_3(self, runner, tmp_path, content):
+    @pytest.mark.parametrize("content, message", [
+        ({"cats": [{"particles": [1, 2], "bits": [0, 0], "sign": "+"}], "measure": 5}, "bad scenario"),
+        ({"users": 5, "request": ["A"]}, "bad scenario"),
+        ({"users": ["A", "B"], "request": 5}, "bad scenario"),
+        ({"cats": [{"particles": [], "bits": [], "sign": "+"}], "measure": [1]},
+         "bad scenario: bad cat entry 0: a cat state needs at least one particle"),
+        ({"cats": [{"particles": [-1, 2], "bits": [0, 0], "sign": "+"}], "measure": [2]},
+         "bad scenario: bad cat entry 0: particle ids must be nonnegative"),
+    ], ids=["content0", "content1", "content2", "empty-cat", "negative-id"])
+    def test_wrong_shape_exits_3(self, runner, tmp_path, content, message):
         scenario = tmp_path / "bad.json"
         scenario.write_text(json.dumps(content))
         result = runner.invoke(main, ["swap", str(scenario)])
         assert result.exit_code == 3, result.output
-        assert "bad scenario" in result.output
+        assert message in result.output
 
     @pytest.mark.parametrize("text", [
         '{"cats": [{"particles": [1, 2], "bits": [0, 0], "sign": "+"}], "measure": "12"}',
@@ -870,18 +883,20 @@ class TestRee:
         assert "got [true, 1e+308, " in result.stderr
         assert len(result.stderr.encode()) < 1024
 
-    @pytest.mark.parametrize("content", [
-        {"matrix": [[[1.0, 0.0]]], "dims": 1},
-        {"matrix": [[[1.0, 0.0]]], "dims": None},
-        {"matrix": [[{"re": 1.0, "im": 0.0}]], "dims": [1, 1]},
-        {"matrix": [[[1.0, 0.0]]], "dims": [[1], [1]]},
-    ])
-    def test_wrong_shape_exits_3(self, runner, tmp_path, content):
+    @pytest.mark.parametrize("content, message", [
+        ({"matrix": [[[1.0, 0.0]]], "dims": 1}, "bad state file"),
+        ({"matrix": [[[1.0, 0.0]]], "dims": None}, "bad state file"),
+        ({"matrix": [[{"re": 1.0, "im": 0.0}]], "dims": [1, 1]}, "bad state file"),
+        ({"matrix": [[[1.0, 0.0]]], "dims": [[1], [1]]}, "bad state file"),
+        ({"matrix": [[[0.25 * (i == j), 0.0] for j in range(4)] for i in range(4)], "dims": [2, 3]},
+         "bad state file: matrix of shape (4, 4) does not match dims (2, 3)"),
+    ], ids=["content0", "content1", "content2", "content3", "dims-mismatch"])
+    def test_wrong_shape_exits_3(self, runner, tmp_path, content, message):
         state = tmp_path / "bad.json"
         state.write_text(json.dumps(content))
         result = runner.invoke(main, ["ree", str(state)])
         assert result.exit_code == 3, result.output
-        assert "bad state file" in result.output
+        assert message in result.output
 
     @pytest.mark.parametrize("text", [
         '{"matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]], "dims": [2.9, 1]}',

@@ -16,7 +16,7 @@ def test_library_quick_tour():
     block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     namespace = {}
     exec(compile(block, "README quick tour", "exec"), namespace)
-    # the package-level names are the core objects, loaded on first access
+    # the state arithmetic is imported from qlimits.core
     for name in ("PureState", "tensor_product", "von_neumann_entropy"):
         assert namespace[name] is getattr(qlimits.core, name)
     assert namespace["curve"].shape == (501,)
