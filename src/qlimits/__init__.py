@@ -9,8 +9,8 @@ Library and CLI covering four areas:
   for ion-trap quantum computation (computation times, decay-rate
   bounds, per-gate error rates, report generation).
 * ``qlimits.catswap`` -- symbolic generalized entanglement swapping on
-  multiparticle cat states, an exact dense oracle, and the quantum
-  telephone exchange scenario.
+  multiparticle cat states, an exact stabilizer oracle over GF(2), and
+  the quantum telephone exchange scenario.
 * ``qlimits.entanglement`` -- relative entropy of entanglement, in
   closed form for pure states, for PPT states in 2x2 and 2x3 and for
   Bell-diagonal two-qubit states (up to local unitaries), otherwise by

@@ -16,54 +16,41 @@ remaining particles of the touched sets:
     prod_m E(n_m)  ->  E(p) (x) E(sum_m n_m - p),
 
 the polygon rule.  The symbolic engine below enumerates outcome
-probabilities and residuals exactly; :func:`brute_force_oracle` checks
-them against dense state-vector algebra.  Untouched sets pass through
-as separate factors.
+probabilities and residuals exactly; :func:`verify_against_oracle`
+checks them against an independent stabilizer computation over GF(2).
+Untouched sets pass through as separate factors.
 
 Outcome order is the documented total order: lexicographic on the
 canonical basis bits, then sign with "+" before "-".
 
-The symbolic engine and the exchange are pure Python; numpy is
-imported only by the dense functions that use it.
+The module is pure Python: it imports no numpy.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from . import _json_excerpt
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "CatState",
     "CatCollection",
     "MeasurementSpec",
     "SwapOutcome",
-    "DenseOutcome",
     "ExchangeResult",
     "enumerate_outcomes",
     "polygon_counts",
     "untouched_cats",
-    "brute_force_oracle",
     "verify_against_oracle",
     "telephone_exchange",
-    "cats_dense_vector",
     "scenario_from_dict",
     "outcomes_to_jsonable",
-    "BRUTE_FORCE_LIMIT",
     "MAX_OUTCOMES",
 ]
 
-BRUTE_FORCE_LIMIT = 14
 # Outcome lists longer than this are refused before they are enumerated.
 MAX_OUTCOMES = 2**16
-# Largest difference verify_against_oracle accepts in a probability or a
-# residual overlap.
-ORACLE_ATOL = 1e-10
 
 
 def _norm_sign(sign) -> int:
@@ -171,16 +158,6 @@ class SwapOutcome:
     residual: CatState | None
 
 
-@dataclass(frozen=True)
-class DenseOutcome:
-    """Brute-force outcome: probability plus the dense residual vector."""
-
-    basis: CatState
-    probability: float
-    residual_particles: tuple[int, ...]
-    residual_vector: np.ndarray | None
-
-
 def _split_by_measurement(coll: CatCollection, spec: MeasurementSpec):
     """(touched cats, sorted unmeasured particles of the touched cats, untouched cats)."""
     missing = spec.selected.difference(coll.particles)
@@ -267,116 +244,119 @@ def enumerate_outcomes(coll: CatCollection, spec: MeasurementSpec) -> list[SwapO
 
 
 # ---------------------------------------------------------------------------
-# Dense brute-force oracle
+# Stabilizer oracle
 # ---------------------------------------------------------------------------
+#
+# A cat |u> +- |u^c> on particles p_0 < ... < p_(n-1) is the one state
+# stabilized by X on all its particles, with sign +-, and by each
+# Z_(p_0) Z_(p_k), with sign (-1)^(u_k) (u_0 = 0).  A cat-basis
+# measurement on S measures X_S and each Z_(s_0) Z_(s_k): outcome (v, +-)
+# gives X_S the sign +- and Z_(s_0) Z_(s_k) the sign (-1)^(v_k).  Every
+# operator is X-type or Z-type, so the X and the Z halves are two separate
+# GF(2) problems (the CSS case of Aaronson & Gottesman, PRA 70, 052328
+# (2004)).  A row is one int, from the highest bit down:
+#
+#     [S columns | R columns | sign form]
+#
+# R holds the unmeasured particles.  The sign form is affine in the
+# outcome: bit 0 is a constant and bit k + 1 the sign bit of the k-th
+# measured operator (X_S for k = 0).  The measurement is complete on S:
+# every operator on S that commutes with all its operators is a product
+# of them.  So a product of the state's generators and the measured
+# operators that acts on S as the identity commutes with the measurement,
+# and it stabilizes the state after it.  In an echelon basis of the
+# state's and the measurement's rows, the rows that lead in R generate the
+# group that stabilizes R after the measurement, and those that lead in
+# the sign form are the identity with a sign: an outcome that makes one of
+# them -1 never occurs, and each other one has probability
+# 2^-(measured operators - such rows).
 
 
-def _cat_tensor(cat: CatState) -> np.ndarray:
-    """Dense (2,)*n tensor of the normalized cat over its own particles."""
-    import numpy as np
-
-    t = np.zeros((2,) * cat.n_particles, dtype=complex)
-    t[cat.bits] = 1.0 / math.sqrt(2.0)
-    comp = tuple(1 - b for b in cat.bits)
-    t[comp] += cat.sign / math.sqrt(2.0)
-    return t
-
-
-def cats_dense_vector(cats, order) -> np.ndarray:
-    """Dense vector of a product of cats, axes arranged to ``order``."""
-    import numpy as np
-
-    order = tuple(order)
-    tensor = np.ones((), dtype=complex)
-    axis_particles: list[int] = []
-    for cat in cats:
-        tensor = np.multiply.outer(tensor, _cat_tensor(cat))
-        axis_particles.extend(cat.particles)
-    if sorted(axis_particles) != sorted(order):
-        raise ValueError(f"cats cover particles {sorted(axis_particles)}, expected {sorted(order)}")
-    perm = [axis_particles.index(p) for p in order]
-    return tensor.transpose(perm).reshape(-1)
+def _reduce(basis: dict[int, int], row: int, floor: int) -> int:
+    """``row`` with its leading bit cleared by the ``basis`` row that leads
+    there (the basis is keyed by leading bit), for as long as that bit is
+    at or above ``floor`` and such a row exists."""
+    while row >> floor:
+        lead = row.bit_length() - 1
+        if lead not in basis:
+            break
+        row ^= basis[lead]
+    return row
 
 
-def brute_force_oracle(coll: CatCollection, spec: MeasurementSpec) -> list[DenseOutcome]:
-    """Exact dense projection onto every cat-basis state of the selection.
-
-    Builds the full normalized state vector with the selected axes
-    first, so row i of its (2^p, rest) matrix is the selection's bit
-    pattern i.  For i < 2^(p-1) that pattern is canonical (bit 0 on the
-    lowest particle), row 2^p - 1 - i is its complement, and the
-    projection onto the cat i with sign s is (row_i + s row_c) / sqrt 2.
-    Returns probabilities with normalized residual vectors in the
-    documented order.  Limited to ``BRUTE_FORCE_LIMIT`` particles total.
-    """
-    import numpy as np
-
-    total = coll.n_particles
-    if total > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"{total} particles exceed the dense limit of {BRUTE_FORCE_LIMIT}")
-    all_order = coll.particles
-    missing = spec.selected.difference(all_order)
-    if missing:
-        raise ValueError(f"selected particles {sorted(missing)} are not in the collection")
-    sel_order = tuple(sorted(spec.selected))
-    rest_order = tuple(p for p in all_order if p not in spec.selected)
-    psi = cats_dense_vector(coll.cats, sel_order + rest_order)
-    matrix = psi.reshape(2 ** len(sel_order), -1)
-    half = matrix.shape[0] // 2
-    rows, complements = matrix[:half], matrix[::-1][:half]
-    root2 = math.sqrt(2.0)
-    # + 0.0 maps -0.0 to 0.0, so zero entries are positive, as in the full
-    # inner product <basis|psi> over all 2^p rows
-    residuals = {+1: (rows + complements) / root2 + 0.0, -1: (rows - complements) / root2 + 0.0}
-    outcomes = []
-    for i in range(half):
-        bits = tuple(map(int, format(i, f"0{len(sel_order)}b")))
-        for sign in (+1, -1):
-            residual = residuals[sign][i]
-            probability = float(np.vdot(residual, residual).real)
-            if probability < 1e-12:
-                continue
-            vec = residual / math.sqrt(probability) if rest_order else None
-            outcomes.append(DenseOutcome(CatState(sel_order, bits, sign), probability, rest_order, vec))
-    return outcomes
+def _echelon(rows) -> dict[int, int]:
+    """Echelon basis of ``rows``, keyed by leading bit."""
+    basis = {}
+    for row in rows:
+        row = _reduce(basis, row, 0)
+        if row:
+            basis[row.bit_length() - 1] = row
+    return basis
 
 
 def verify_against_oracle(coll: CatCollection, spec: MeasurementSpec) -> tuple[bool, str]:
-    """Compare symbolic outcomes against the dense oracle.
+    """Check the symbolic outcomes against the stabilizer oracle.
 
-    Checks outcome support, probabilities and residual rays (up to
-    global phase) to ``ORACLE_ATOL``.  Returns (ok, message).
+    Checks exactly that the outcomes are the possible ones, in the
+    documented order, each with probability 2^-r for r random outcome
+    bits, and that for each outcome every generator of its residual and
+    of each untouched cat lies, with its sign, in the group that
+    stabilizes the unmeasured particles.  Returns (ok, message).
     """
-    import numpy as np
-
-    symbolic = enumerate_outcomes(coll, spec)
-    dense = brute_force_oracle(coll, spec)
-    if len(symbolic) != len(dense):
-        return False, f"outcome counts differ: symbolic {len(symbolic)} vs dense {len(dense)}"
+    outcomes = enumerate_outcomes(coll, spec)
     passthrough = untouched_cats(coll, spec)
-    for sym, num in zip(symbolic, dense):
-        if (sym.basis.bits, sym.basis.sign) != (num.basis.bits, num.basis.sign):
-            return False, f"support mismatch at basis {sym.basis}"
-        if abs(sym.probability - num.probability) > ORACLE_ATOL:
-            return (
-                False,
-                f"probability mismatch at {sym.basis}: {sym.probability} vs {num.probability}",
-            )
-        residual_cats = list(passthrough)
-        if sym.residual is not None:
-            residual_cats.append(sym.residual)
-        if num.residual_vector is None:
-            if residual_cats:
-                return False, f"dense residual empty but symbolic has {residual_cats}"
-            continue
-        expected = cats_dense_vector(residual_cats, num.residual_particles)
-        overlap = abs(np.vdot(expected, num.residual_vector))
-        if abs(overlap - 1.0) > ORACLE_ATOL:
-            return False, f"residual ray mismatch at {sym.basis}: |overlap|={overlap!r}"
-    total = sum(o.probability for o in symbolic)
-    if abs(total - 1.0) > 1e-12:
-        return False, f"probabilities sum to {total!r}"
-    return True, "symbolic outcomes match the dense oracle"
+    sel = tuple(sorted(spec.selected))
+    rest = tuple(p for p in coll.particles if p not in spec.selected)
+    m = len(sel)
+    column = {p: 1 << (m + 1 + i) for i, p in enumerate(rest + sel)}
+
+    def mask(particles):
+        return sum(map(column.__getitem__, particles))
+
+    x_half = _echelon([mask(cat.particles) | (cat.sign < 0) for cat in coll.cats] + [mask(sel) | 0b10])
+    z_half = _echelon(
+        [mask((cat.particles[0], p)) | b for cat in coll.cats for p, b in zip(cat.particles[1:], cat.bits[1:])]
+        + [mask((sel[0], s)) | 1 << (k + 1) for k, s in enumerate(sel[1:], start=1)]
+    )
+    constraints = [row for half in (x_half, z_half) for row in half.values() if not row >> (m + 1)]
+    random_bits = m - len(constraints)
+    if len(outcomes) != 2**random_bits:
+        return False, f"outcome counts differ: symbolic {len(outcomes)} vs oracle {2**random_bits}"
+
+    def sign_forms(particles):
+        """Sign form of each generator, X first, of a cat on ``particles``
+        in the group on the unmeasured particles; None outside it."""
+        ops = [(x_half, mask(particles))] + [(z_half, mask((particles[0], p))) for p in particles[1:]]
+        return [None if row >> (m + 1) else row for row in (_reduce(half, op, m + 1) for half, op in ops)]
+
+    # residual particles -> sign forms of each cat on the unmeasured particles
+    forms = {}
+
+    previous = None
+    for o in outcomes:
+        basis = o.basis
+        # bit 0 of a canonical basis is 0, so bit 1 holds only the sign
+        signs = 1 | (basis.sign < 0) << 1 | sum(b << (k + 1) for k, b in enumerate(basis.bits))
+        if basis.particles != sel or any((row & signs).bit_count() & 1 for row in constraints):
+            return False, f"support mismatch at basis {basis}"
+        key = (basis.bits, basis.sign < 0)
+        if previous is not None and key <= previous:
+            return False, f"outcomes out of order at basis {basis}"
+        previous = key
+        if o.probability != 0.5**random_bits:
+            return False, f"probability mismatch at {basis}: {o.probability} vs {0.5**random_bits}"
+        cats = passthrough if o.residual is None else (o.residual, *passthrough)
+        particles = None if o.residual is None else o.residual.particles
+        if particles not in forms:
+            covered = tuple(sorted(p for cat in cats for p in cat.particles))
+            if covered != rest:
+                return False, f"residual particles at {basis}: {covered} vs unmeasured {rest}"
+            forms[particles] = [sign_forms(cat.particles) for cat in cats]
+        for cat, cat_forms in zip(cats, forms[particles]):
+            for form, bit in zip(cat_forms, (cat.sign < 0, *cat.bits[1:])):
+                if form is None or (form & signs).bit_count() & 1 != bit:
+                    return False, f"residual mismatch at {basis}: {cat}"
+    return True, "symbolic outcomes match the stabilizer oracle"
 
 
 # ---------------------------------------------------------------------------

@@ -121,7 +121,8 @@ def _too_many_levels(spec: str) -> ValueError:
 class VibrationalDistribution:
     """Initial vibrational weight distribution, truncated at n_max.
 
-    The truncation keeps tail mass below 1e-8.  Construct through
+    The truncation drops a tail mass below 1e-8; the weights kept are
+    renormalized to sum to 1.  Construct through
     :meth:`fock`, :meth:`coherent` (parametrized by the mean occupation
     n_bar = |alpha|^2; the historical amplitude-vs-mean ambiguity is
     resolved in favor of the mean, which is what the motivating
@@ -138,7 +139,8 @@ class VibrationalDistribution:
             raise ValueError("p_n must be a nonempty nonnegative vector")
         if p.sum() < 1.0 - TAIL_MASS:
             raise ValueError(f"truncated weights sum to {p.sum()!r}, tail mass too large")
-        p = p.copy()
+        # renormalized over the truncation, so P_down(0) is 1
+        p = p / p.sum()
         p.setflags(write=False)
         object.__setattr__(self, "p_n", p)
 
@@ -431,9 +433,8 @@ def _oracle_blocks(dist, params, model, t_grid) -> tuple[np.ndarray, int]:
     residual = np.abs(liouvillians @ vecs - vecs * evals[:, None, :]).max()
     if residual > 1e-10 * max(1.0, np.abs(liouvillians).max()):
         raise RuntimeError(f"doublet Liouvillian not diagonal in the energy basis: {residual:.3e}")
-    # initial weights sit on the spin-down member of each doublet (vec
-    # index 0), renormalized over the truncation so the trace is exactly 1
-    coeffs = vecs[:, 0, :].conj() * (dist.p_n / dist.p_n.sum())[:, None]
+    # initial weights sit on the spin-down member of each doublet (vec index 0)
+    coeffs = vecs[:, 0, :].conj() * dist.p_n[:, None]
     # every eigenvalue has real part 0 or -A_n, so an A_n t beyond the
     # float range only rounds its exponential to 0
     with np.errstate(over="ignore"):

@@ -1,20 +1,26 @@
-"""Tests for the cat-state swapping engine and its dense oracle."""
+"""Tests for the cat-state swapping engine, its stabilizer oracle, and the
+dense state-vector oracle that checks both up to 14 particles."""
 import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+import helpers
 import qlimits.catswap as catswap_module
-from qlimits.catswap import (
+from helpers import (
     BRUTE_FORCE_LIMIT,
+    LARGE_SWAP_SCENARIO,
+    brute_force_oracle,
+    cats_dense_vector,
+    random_swap_scenario as random_scenario,
+    verify_against_dense_oracle,
+)
+from qlimits.catswap import (
     MAX_OUTCOMES,
-    ORACLE_ATOL,
     CatCollection,
     CatState,
     MeasurementSpec,
-    brute_force_oracle,
-    cats_dense_vector,
     enumerate_outcomes,
     outcomes_to_jsonable,
     polygon_counts,
@@ -234,6 +240,14 @@ class TestProjectOutcome:
 
 
 class TestBruteForceOracle:
+    def test_dense_check_catches_a_flipped_residual(self, monkeypatch):
+        original = helpers.enumerate_outcomes
+        monkeypatch.setattr(helpers, "enumerate_outcomes",
+                            lambda coll, spec: _flip_residual_signs(original(coll, spec)))
+        ok, message = verify_against_dense_oracle(*standard_swap())
+        assert not ok
+        assert message.startswith(f"residual ray mismatch at {BASIS_00}: |overlap|=")
+
     def test_size_limit(self):
         cats = tuple(CatState((2 * i, 2 * i + 1), (0, 0), "+") for i in range(8))
         coll = CatCollection(cats)
@@ -285,9 +299,6 @@ class TestBruteForceOracle:
                     assert o.residual_vector is None
 
 
-from helpers import random_swap_scenario as random_scenario
-
-
 def reference_outcomes(coll, spec):
     """Outcomes by direct expansion, every cat through the validating CatState."""
     selected = spec.selected
@@ -316,32 +327,80 @@ def _flip_residual_signs(outcomes):
             for o in outcomes]
 
 
+BASIS_00 = "CatState(particles=(2, 3), bits=(0, 0), sign=1)"
+
 # One corruption per mismatch return of verify_against_oracle, applied to
-# the standard swap's four outcomes on the symbolic or the dense side.
+# the standard swap's four outcomes.
 ORACLE_MISMATCHES = [
-    pytest.param("brute_force_oracle", lambda out: out[:-1],
-                 "outcome counts differ: symbolic 4 vs dense 3", id="count"),
-    pytest.param("enumerate_outcomes", lambda out: out[::-1], "support mismatch at basis", id="support"),
-    pytest.param("enumerate_outcomes", lambda out: [dataclasses.replace(out[0], probability=0.5), *out[1:]],
-                 "probability mismatch at", id="probability"),
-    pytest.param("brute_force_oracle", lambda out: [dataclasses.replace(o, residual_vector=None) for o in out],
-                 "dense residual empty but symbolic has", id="empty-dense-residual"),
-    pytest.param("enumerate_outcomes", _flip_residual_signs, "residual ray mismatch at", id="residual-ray"),
-    # each probability within ORACLE_ATOL, their sum 2e-10 above 1
+    pytest.param(lambda out: out[:-1], "outcome counts differ: symbolic 3 vs oracle 4", id="count"),
+    pytest.param(lambda out: [dataclasses.replace(out[0], basis=CatState((2, 4), (0, 0), +1)), *out[1:]],
+                 "support mismatch at basis CatState(particles=(2, 4), bits=(0, 0), sign=1)", id="support"),
+    pytest.param(lambda out: out[::-1],
+                 "outcomes out of order at basis CatState(particles=(2, 3), bits=(0, 1), sign=1)", id="order"),
+    pytest.param(lambda out: [out[0], *out[:-1]], f"outcomes out of order at basis {BASIS_00}", id="repeat"),
+    pytest.param(lambda out: [dataclasses.replace(out[0], probability=0.5), *out[1:]],
+                 f"probability mismatch at {BASIS_00}: 0.5 vs 0.25", id="probability"),
+    pytest.param(lambda out: [dataclasses.replace(o, residual=None) for o in out],
+                 f"residual particles at {BASIS_00}: () vs unmeasured (1, 4)", id="residual-particles"),
+    pytest.param(_flip_residual_signs,
+                 f"residual mismatch at {BASIS_00}: CatState(particles=(1, 4), bits=(0, 0), sign=-1)",
+                 id="residual-ray"),
+]
+
+
+def large_scenario():
+    return scenario_from_dict(LARGE_SWAP_SCENARIO)
+
+
+def large_basis(bits, sign):
+    return f"CatState(particles=(0, 1, 3, 5, 7, 9, 11), bits={bits}, sign={sign})"
+
+
+def _flip_first_untouched(cats):
+    return (CatState(cats[0].particles, cats[0].bits, -cats[0].sign), *cats[1:])
+
+
+# Five corruptions above the dense oracle's particle limit: 19 particles, 64
+# outcomes and three untouched cats.  Bit 1 of every basis is fixed by the
+# GHZ cat, whose particles 0 and 1 are both measured.
+LARGE_MISMATCHES = [
+    pytest.param("enumerate_outcomes", lambda out: out[:-1],
+                 "outcome counts differ: symbolic 63 vs oracle 64", id="lost-outcome"),
     pytest.param("enumerate_outcomes",
-                 lambda out: [dataclasses.replace(o, probability=o.probability + 0.5 * ORACLE_ATOL) for o in out],
-                 "probabilities sum to", id="probability-sum"),
+                 lambda out: [dataclasses.replace(out[0], basis=CatState(out[0].basis.particles, (0,) * 7, +1)),
+                              *out[1:]],
+                 f"support mismatch at basis {large_basis((0, 0, 0, 0, 0, 0, 0), 1)}", id="wrong-basis"),
+    pytest.param("enumerate_outcomes",
+                 lambda out: [*out[:5], dataclasses.replace(out[5], probability=2**-5), *out[6:]],
+                 f"probability mismatch at {large_basis((0, 1, 0, 0, 0, 1, 0), -1)}: 0.03125 vs 0.015625",
+                 id="wrong-probability"),
+    pytest.param("enumerate_outcomes", lambda out: [*out[:9], *_flip_residual_signs(out[9:10]), *out[10:]],
+                 f"residual mismatch at {large_basis((0, 1, 0, 0, 1, 0, 0), -1)}: "
+                 "CatState(particles=(2, 4, 6, 8, 10, 12), bits=(0, 0, 0, 0, 0, 0), sign=-1)",
+                 id="flipped-residual-sign"),
+    pytest.param("untouched_cats", _flip_first_untouched,
+                 f"residual mismatch at {large_basis((0, 1, 0, 0, 0, 0, 0), 1)}: "
+                 "CatState(particles=(13, 14), bits=(0, 0), sign=-1)", id="wrong-untouched-cat"),
 ]
 
 
 class TestVerifyMismatches:
-    @pytest.mark.parametrize("side, corrupt, message", ORACLE_MISMATCHES)
-    def test_each_mismatch_is_reported(self, monkeypatch, side, corrupt, message):
+    @pytest.mark.parametrize("corrupt, message", ORACLE_MISMATCHES)
+    def test_each_mismatch_is_reported(self, monkeypatch, corrupt, message):
+        original = catswap_module.enumerate_outcomes
+        monkeypatch.setattr(catswap_module, "enumerate_outcomes", lambda coll, spec: corrupt(original(coll, spec)))
+        assert verify_against_oracle(*standard_swap()) == (False, message)
+
+    def test_large_scenario_passes(self):
+        coll, spec = large_scenario()
+        assert coll.n_particles > BRUTE_FORCE_LIMIT
+        assert verify_against_oracle(coll, spec) == (True, "symbolic outcomes match the stabilizer oracle")
+
+    @pytest.mark.parametrize("side, corrupt, message", LARGE_MISMATCHES)
+    def test_each_corruption_above_the_dense_limit_is_caught(self, monkeypatch, side, corrupt, message):
         original = getattr(catswap_module, side)
         monkeypatch.setattr(catswap_module, side, lambda coll, spec: corrupt(original(coll, spec)))
-        ok, text = verify_against_oracle(*standard_swap())
-        assert not ok
-        assert text.startswith(message), text
+        assert verify_against_oracle(*large_scenario()) == (False, message)
 
 
 class TestRandomizedOracleEquivalence:
@@ -350,8 +409,9 @@ class TestRandomizedOracleEquivalence:
         rng = np.random.default_rng(2024)
         for _ in range(50):
             coll, spec = random_scenario(rng)
-            ok, message = verify_against_oracle(coll, spec)
-            assert ok, message
+            for verify in (verify_against_oracle, verify_against_dense_oracle):
+                ok, message = verify(coll, spec)
+                assert ok, message
 
     def test_probability_completeness(self):
         rng = np.random.default_rng(99)

@@ -1,9 +1,11 @@
 """CLI contract tests: exit codes, file formats, determinism."""
+import dataclasses
 import importlib
 import json
 import math
 import os
 import pkgutil
+import resource
 import stat
 import subprocess
 import sys
@@ -15,7 +17,7 @@ from click.testing import CliRunner
 
 import qlimits
 import qlimits.cli as cli_module
-from helpers import random_swap_scenario
+from helpers import LARGE_SWAP_SCENARIO, random_swap_scenario
 from qlimits import catswap, feasibility
 from qlimits.cli import CSV_BLOCK_ROWS, MAX_CELLS, MAX_ORACLE_CELLS, MAX_POINTS, main
 from qlimits.jc import (
@@ -84,6 +86,20 @@ def run_python(*args, check=True):
                           capture_output=True, text=True, check=check)
 
 
+def test_exchange_verify_worst_case():
+    # 16 users, all requested: 65536 outcomes, the most MAX_OUTCOMES allows.
+    # The run takes 3.1-3.6 s of CPU on a 2-core x86-64 host; the bound
+    # leaves about twice that.
+    names = ",".join(f"u{i}" for i in range(16))
+    argv = ["-m", "qlimits.cli", "exchange", "--users", names, "--request", names]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    verified = run_python(*argv, "--verify")
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+    assert cpu < 7.0
+    assert verified.stdout == run_python(*argv).stdout
+
+
 def test_cli_imports_no_scipy():
     # scipy is a test-only dependency; the CLI must start without it
     result = run_python("-c", "import sys, qlimits.cli; print('scipy' in sys.modules)")
@@ -94,11 +110,12 @@ def test_cli_imports_no_scipy():
     (["budget"], {"qlimits.feasibility"}, {"numpy", "qlimits.jc"}),
     (["exchange", "--users", "A,B,C", "--request", "A,B"], {"qlimits.catswap"}, {"numpy"}),
     (["swap", "{swap}"], {"qlimits.catswap"}, {"numpy"}),
-    (["exchange", "--users", "A,B,C", "--request", "A,B", "--verify"], {"numpy"}, set()),
+    (["exchange", "--users", "A,B,C", "--request", "A,B", "--verify"], {"qlimits.catswap"}, {"numpy"}),
+    (["swap", "{swap}", "--verify"], {"qlimits.catswap"}, {"numpy"}),
     (["ree", "{state}"], {"qlimits.entanglement"}, {"qlimits.catswap", "qlimits.feasibility"}),
     (["jc", "--points", "3"], {"qlimits.jc"},
      {"qlimits.catswap", "qlimits.entanglement", "qlimits.feasibility"}),
-], ids=["budget", "exchange", "swap", "exchange-verify", "ree", "jc"])
+], ids=["budget", "exchange", "swap", "exchange-verify", "swap-verify", "ree", "jc"])
 def test_each_command_imports_only_what_it_runs(tmp_path, argv, loaded, not_loaded):
     write_standard_swap(tmp_path / "swap.json")
     write_bell(tmp_path / "state.json")
@@ -599,14 +616,35 @@ class TestSwap:
         assert result.exit_code == 4
 
     def test_oracle_mismatch_exits_4(self, runner, tmp_path, monkeypatch):
-        # the dense oracle loses an outcome, so the real comparison fails
+        # the symbolic engine loses an outcome, so the real comparison fails
         scenario = tmp_path / "swap.json"
         write_standard_swap(scenario)
-        oracle = catswap.brute_force_oracle
-        monkeypatch.setattr(catswap, "brute_force_oracle", lambda coll, spec: oracle(coll, spec)[:-1])
+        enumerate_outcomes = catswap.enumerate_outcomes
+        monkeypatch.setattr(catswap, "enumerate_outcomes", lambda coll, spec: enumerate_outcomes(coll, spec)[:-1])
         result = runner.invoke(main, ["swap", str(scenario), "--verify"])
         assert result.exit_code == 4
-        assert result.stderr == "Error: verification mismatch: outcome counts differ: symbolic 4 vs dense 3\n"
+        assert result.stderr == "Error: verification mismatch: outcome counts differ: symbolic 3 vs oracle 4\n"
+        assert result.stdout == ""
+
+    def test_oracle_mismatch_above_dense_limit_exits_4(self, runner, tmp_path, monkeypatch):
+        # 19 particles; the symbolic engine flips the residual sign of the last outcome
+        scenario = tmp_path / "swap.json"
+        scenario.write_text(json.dumps(LARGE_SWAP_SCENARIO))
+        enumerate_outcomes = catswap.enumerate_outcomes
+
+        def flip_last(coll, spec):
+            *outcomes, last = enumerate_outcomes(coll, spec)
+            residual = catswap.CatState(last.residual.particles, last.residual.bits, -last.residual.sign)
+            return [*outcomes, dataclasses.replace(last, residual=residual)]
+
+        monkeypatch.setattr(catswap, "enumerate_outcomes", flip_last)
+        result = runner.invoke(main, ["swap", str(scenario), "--verify"])
+        assert result.exit_code == 4
+        assert result.stderr == (
+            "Error: verification mismatch: residual mismatch at CatState(particles=(0, 1, 3, 5, 7, 9, 11), "
+            "bits=(0, 1, 1, 1, 1, 1, 1), sign=-1): CatState(particles=(2, 4, 6, 8, 10, 12), "
+            "bits=(0, 1, 1, 0, 1, 1), sign=-1)\n"
+        )
         assert result.stdout == ""
 
     def test_verify_mismatch_prints_error_and_keeps_out(self, runner, tmp_path, monkeypatch):
@@ -680,13 +718,14 @@ class TestSwap:
                             '{"particles": [3, 4], "bits": [0, 1], "sign": 1}], "measure": [2, 3]}')
         assert invoke(runner, "swap", str(scenario), "--verify").exit_code == 0
 
-    def test_verify_above_dense_limit_exits_3(self, runner, tmp_path):
+    def test_verify_above_dense_limit_matches_plain_run(self, runner, tmp_path):
+        # 18 particles, above the dense oracle's limit of 14
         scenario = tmp_path / "big.json"
         cats = [{"particles": [2 * i, 2 * i + 1], "bits": [0, 0], "sign": "+"} for i in range(9)]
         scenario.write_text(json.dumps({"cats": cats, "measure": [1, 2]}))
-        result = runner.invoke(main, ["swap", str(scenario), "--verify"])
-        assert result.exit_code == 3
-        assert "dense limit" in result.output
+        verified = invoke(runner, "swap", str(scenario), "--verify")
+        assert verified.exit_code == 0
+        assert verified.stdout == invoke(runner, "swap", str(scenario)).stdout
 
 
 def reference_json(blob):
@@ -746,13 +785,12 @@ class TestExchange:
         assert data["measure"] == [2, 3, 5]
         assert all(o["residual"]["particles"] == [1, 4, 6] for o in data["outcomes"])
 
-    def test_verify_above_dense_limit_exits_3(self, runner):
+    def test_verify_above_dense_limit_matches_plain_run(self, runner):
         # eight users hold 16 particles, above the dense oracle's limit of 14
-        result = runner.invoke(
-            main, ["exchange", "--users", "A,B,C,D,E,F,G,H", "--request", "A,B", "--verify"]
-        )
-        assert result.exit_code == 3
-        assert "dense limit" in result.output
+        argv = ["exchange", "--users", "A,B,C,D,E,F,G,H", "--request", "A,B"]
+        verified = invoke(runner, *argv, "--verify")
+        assert verified.exit_code == 0
+        assert verified.stdout == invoke(runner, *argv).stdout
 
     def test_outcome_cap_exits_3(self, runner):
         # 17 users, all requested, would give 2^17 outcomes; refused before enumerating

@@ -284,10 +284,12 @@ class TestVibrationalDistribution:
 
 class TestPopulationLower:
     def test_initial_value(self):
+        # the weights are renormalized over the truncation, so the dropped
+        # tail mass leaves no gap at t = 0
         p = DecoherenceParams(0.127, 0.4)
-        for dist in (VibrationalDistribution.fock(2), VibrationalDistribution.coherent(3.0)):
-            val = population_lower([0.0], dist, p, DI)[0]
-            assert val == pytest.approx(1.0, abs=1e-8)
+        for spec in ("fock:2", "coherent:3.0", "coherent:50", "thermal:12.5", "thermal:200"):
+            val = population_lower([0.0], VibrationalDistribution.parse(spec), p, DI)[0]
+            assert val == pytest.approx(1.0, abs=1e-15), spec
 
     @pytest.mark.parametrize("n", [0, 1, 4])
     def test_pure_rabi_oscillation(self, n):
