@@ -33,6 +33,8 @@ ENTROPY_EIGENVALUE_CUTOFF = 1e-12
 # Weight of sigma tolerated outside the support of rho before S(sigma||rho)
 # is declared infinite.
 SUPPORT_TOL = 1e-10
+# Matrix entries per block of a stack checked at once (256 KiB of complex).
+_CHECK_BLOCK_ENTRIES = 1 << 14
 
 
 class KindMismatchError(TypeError):
@@ -40,8 +42,8 @@ class KindMismatchError(TypeError):
 
 
 def _as_dims(dims) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
-    if not dims or any(d < 1 for d in dims):
+    dims = tuple(map(int, dims))
+    if not dims or min(dims) < 1:
         raise ValueError(f"subsystem dimensions must be positive integers, got {dims}")
     return dims
 
@@ -50,6 +52,40 @@ def _frozen_array(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=complex, copy=True)
     a.setflags(write=False)
     return a
+
+
+def _check_density_matrices(mats: np.ndarray, dims: tuple[int, ...], eig_tol: float) -> None:
+    """Raise the ValueError that the first invalid matrix of the ``(n, d, d)``
+    stack ``mats`` would raise on its own; the checks of each matrix run
+    in the order shape, finite entries, Hermiticity, trace, spectrum."""
+    d = math.prod(dims)
+    if mats.shape[1:] != (d, d):
+        raise ValueError(f"matrix of shape {mats.shape[1:]} does not match dims {dims}")
+    # in blocks, so that the temporaries stay small next to a long stack
+    step = max(1, _CHECK_BLOCK_ENTRIES // (d * d))
+    blocks = [mats] if len(mats) <= step else [mats[i:i + step] for i in range(0, len(mats), step)]
+    for block in blocks:
+        with np.errstate(invalid="ignore"):  # inf - inf, reported below
+            herm = abs(block - block.conj().swapaxes(1, 2)).max(axis=(1, 2)).tolist()
+        tr = block.trace(axis1=1, axis2=2).tolist()
+        # the spectra are taken of the matrices before the first to fail
+        # here; a NaN or infinite entry makes its deviation NaN or infinite
+        n_ok = 0
+        for h, t in zip(herm, tr):
+            if not (h <= 1e-10 and abs(t - 1.0) <= 1e-10):
+                break
+            n_ok += 1
+        if n_ok:
+            lo = np.linalg.eigvalsh(block[:n_ok])[:, 0].tolist()
+            if min(lo) < -eig_tol:
+                negative = next(x for x in lo if x < -eig_tol)
+                raise ValueError(f"matrix has negative eigenvalue {negative:.3e}")
+        if n_ok < len(tr):
+            if not math.isfinite(herm[n_ok]):
+                raise ValueError("matrix has non-finite entries")
+            if not herm[n_ok] <= 1e-10:
+                raise ValueError(f"matrix is not Hermitian: max deviation {herm[n_ok]:.3e}")
+            raise ValueError(f"trace is {tr[n_ok]!r}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -105,26 +141,34 @@ class DensityOperator:
 
     def __post_init__(self):
         dims = _as_dims(self.dims)
-        mat = np.asarray(self.matrix, dtype=complex)
-        d = math.prod(dims)
-        if mat.shape != (d, d):
-            raise ValueError(f"matrix of shape {mat.shape} does not match dims {dims}")
-        with np.errstate(invalid="ignore"):  # inf - inf, reported below
-            herm = float(np.abs(mat - mat.conj().T).max())
-        # a NaN or infinite entry makes the deviation NaN or infinite
-        if not herm <= 1e-10:
-            if not math.isfinite(herm):
-                raise ValueError("matrix has non-finite entries")
-            raise ValueError(f"matrix is not Hermitian: max deviation {herm:.3e}")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"trace is {tr!r}, expected 1")
-        lo = float(np.linalg.eigvalsh(mat).min())
-        if lo < -self.eig_tol:
-            raise ValueError(f"matrix has negative eigenvalue {lo:.3e}")
-        object.__setattr__(self, "matrix", _frozen_array(mat))
+        mat = _frozen_array(self.matrix)
+        _check_density_matrices(mat[np.newaxis], dims, self.eig_tol)
+        object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "eig_tol", float(self.eig_tol))
+
+    @classmethod
+    def stack(cls, matrices, dims, eig_tol: float = 1e-10) -> list["DensityOperator"]:
+        """One state per matrix of an ``(n, d, d)`` stack, checked together.
+
+        The checks and tolerances are those of the constructor, each run
+        over many matrices at once (one ``eigvalsh`` call per block of
+        up to 256 KiB); an invalid stack raises the error that building
+        its matrices one by one, in order, would raise first.  The
+        states share one read-only copy of the stack.
+        """
+        dims = _as_dims(dims)
+        mats = _frozen_array(matrices)
+        _check_density_matrices(mats, dims, eig_tol)
+        eig_tol = float(eig_tol)
+        states = []
+        for mat in mats:
+            state = object.__new__(cls)
+            object.__setattr__(state, "matrix", mat)
+            object.__setattr__(state, "dims", dims)
+            object.__setattr__(state, "eig_tol", eig_tol)
+            states.append(state)
+        return states
 
     @property
     def dim(self) -> int:
@@ -173,7 +217,11 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
     """-sum(lam ln lam) over the spectrum, with 0 ln 0 := 0.  In nats."""
-    lam = np.linalg.eigvalsh(rho.matrix)
+    return _spectrum_entropy(np.linalg.eigvalsh(rho.matrix))
+
+
+def _spectrum_entropy(lam: np.ndarray) -> float:
+    """-sum(lam ln lam) over the weights above the entropy cutoff, in nats."""
     lam = lam[lam > ENTROPY_EIGENVALUE_CUTOFF]
     # + 0.0 turns the -0.0 of a pure spectrum into 0.0
     return float(-(lam * np.log(lam)).sum()) + 0.0

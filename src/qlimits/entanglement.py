@@ -47,6 +47,7 @@ from .core import (
     ENTROPY_EIGENVALUE_CUTOFF,
     DensityOperator,
     PureState,
+    _spectrum_entropy,
     partial_trace,
     quantum_relative_entropy,
     tensor_product,
@@ -379,15 +380,16 @@ def _pure_closed_form(sigma: DensityOperator, psi) -> EntanglementResult:
 
     The weights p_i and vectors u_i diagonalize M M^dag for the
     amplitude matrix M of psi; the partner v_i is the row u_i^dag M,
-    normalized.  Weights at or below the entropy cutoff are dropped,
-    as in the entropy itself.
+    normalized.  Weights at or below the entropy cutoff are dropped and
+    the rest renormalized; the value is the entropy of these weights,
+    so a product state has exactly one weight, 1, and the value 0.
     """
     m = psi.reshape(sigma.dims)
     p, u = np.linalg.eigh(m @ m.conj().T)
     kept = p > ENTROPY_EIGENVALUE_CUTOFF
     p, u = p[kept] / p[kept].sum(), u[:, kept]
     closest = _separable_state(p, u.T, _normalize_rows(u.conj().T @ m), sigma.dims)
-    return EntanglementResult(von_neumann_entropy(partial_trace(sigma, [0])), closest, "pure")
+    return EntanglementResult(_spectrum_entropy(p), closest, "pure")
 
 
 def _ppt_closed_form(sigma: DensityOperator, gamma_min: float) -> EntanglementResult:

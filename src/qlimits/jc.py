@@ -449,16 +449,18 @@ def dephasing_oracle_trajectory(
     model: CouplingModel,
     t_grid,
 ) -> list[DensityOperator]:
-    """Propagated states at each grid time (dimensionless g*t grid)."""
+    """Propagated states at each grid time (dimensionless g*t grid).
+
+    The states are checked together, with the tolerances of one
+    ``DensityOperator`` each, so every one is Hermitian, unit-trace
+    and positive.
+    """
     blocks, n_levels = _oracle_blocks(dist, params, model, t_grid)
     n = np.arange(blocks.shape[1])
     basis = np.stack([n + 1, n_levels + n], axis=1)
-    out = []
-    for blk in blocks:
-        rho = np.zeros((2 * n_levels, 2 * n_levels), dtype=complex)
-        rho[basis[:, :, None], basis[:, None, :]] = blk
-        out.append(DensityOperator(rho, (2, n_levels)))
-    return out
+    rho = np.zeros((len(blocks), 2 * n_levels, 2 * n_levels), dtype=complex)
+    rho[:, basis[:, :, None], basis[:, None, :]] = blocks
+    return DensityOperator.stack(rho, (2, n_levels))
 
 
 def oracle_population_lower(

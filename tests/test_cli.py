@@ -836,6 +836,26 @@ class TestRee:
         assert "-0.0" not in result.output
         assert json.loads(result.output)["value_nats"] == 0.0
 
+    @pytest.mark.parametrize("dims", [[2, 2], [2, 3], [3, 3], [4, 4]])
+    def test_random_product_pure_state_prints_zero(self, runner, tmp_path, dims):
+        # (0.6|0> + 0.8i|1>) (x) |+> printed 1.11022302463e-16 before
+        rng = np.random.default_rng(8)
+        fixed = np.kron([0.6, 0.8j], [1.0, 1.0]) / math.sqrt(2.0)
+        states = [fixed] if dims == [2, 2] else []
+        for _ in range(3):
+            a, b = (rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in dims)
+            states.append(np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b)))
+        state = tmp_path / "product.json"
+        for psi in states:
+            rho = np.outer(psi, psi.conj())
+            matrix = [[[z.real, z.imag] for z in row] for row in rho]
+            state.write_text(json.dumps({"matrix": matrix, "dims": dims}))
+            result = invoke(runner, "ree", str(state))
+            assert result.exit_code == 0
+            data = json.loads(result.output)
+            assert result.output.endswith('"value_nats": 0.0\n}\n')
+            assert data["value_nats"] == 0.0 and data["value_bits"] == 0.0
+
     @pytest.mark.parametrize("cell", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_cell_exits_3(self, runner, tmp_path, cell):
         state = tmp_path / "bad.json"

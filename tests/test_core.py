@@ -88,6 +88,104 @@ class TestDensityOperator:
         assert rho.dim == 2
 
 
+BAD_KINDS = ("negative", "non-finite", "non-hermitian", "trace")
+
+
+def _bad_qubit_matrix(kind, x=0.3):
+    """A 2x2 matrix that fails one check after the shape, off by ``x`` in (0, 0.5)."""
+    m = np.eye(2, dtype=complex) / 2
+    if kind == "negative":
+        m = np.diag([1.0 + x, -x]).astype(complex)
+    elif kind == "non-finite":
+        m[0, 1] = math.inf
+    elif kind == "non-hermitian":
+        m[0, 1] = x
+    else:
+        m *= 1.0 + x
+    return m
+
+
+def _first_error(matrices, dims, eig_tol=1e-10):
+    """(type, message) of the error building ``matrices`` one by one raises first."""
+    for m in matrices:
+        try:
+            DensityOperator(m, dims, eig_tol=eig_tol)
+        except ValueError as exc:
+            return type(exc), str(exc)
+    return None
+
+
+class TestDensityOperatorStack:
+    def test_states_match_single_construction(self):
+        rng = np.random.default_rng(41)
+        mats = np.stack([random_density_operator(rng, (2, 3)).matrix for _ in range(7)])
+        states = DensityOperator.stack(mats, [2, 3])
+        assert len(states) == 7
+        for state, m in zip(states, mats):
+            single = DensityOperator(m, (2, 3))
+            assert np.array_equal(state.matrix, single.matrix)
+            assert (state.dims, state.eig_tol) == (single.dims, single.eig_tol) == ((2, 3), 1e-10)
+
+    def test_matrices_are_a_read_only_copy(self):
+        mats = np.stack([np.eye(2) / 2, np.diag([1.0, 0.0])]).astype(complex)
+        states = DensityOperator.stack(mats, (2,))
+        mats[0, 0, 0] = 7.0
+        assert states[0].matrix[0, 0] == 0.5
+        for state in states:
+            assert not state.matrix.flags.writeable
+            with pytest.raises(ValueError):
+                state.matrix[0, 0] = 0.0
+
+    def test_eig_tol_is_passed_through(self):
+        m = np.diag([1.0 + 5e-9, -5e-9]).astype(complex)
+        m /= np.trace(m).real
+        mats = np.stack([np.eye(2) / 2, m])
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            DensityOperator.stack(mats, (2,))
+        states = DensityOperator.stack(mats, (2,), eig_tol=1e-8)
+        assert [s.eig_tol for s in states] == [1e-8, 1e-8]
+
+    def test_shape_error_matches_single_constructor(self):
+        mats = np.stack([np.eye(3) / 3] * 2)
+        with pytest.raises(ValueError) as single:
+            DensityOperator(mats[0], (2,))
+        with pytest.raises(ValueError) as stacked:
+            DensityOperator.stack(mats, (2,))
+        assert str(stacked.value) == str(single.value)
+
+    @pytest.mark.parametrize("kind", BAD_KINDS)
+    def test_each_error_matches_single_constructor(self, kind):
+        good = np.eye(2, dtype=complex) / 2
+        stack = [good, good, _bad_qubit_matrix(kind), good]
+        expected = _first_error(stack, (2,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(expected[0]) as stacked:
+                DensityOperator.stack(np.stack(stack), (2,))
+        assert str(stacked.value) == expected[1]
+
+    @pytest.mark.parametrize("block_entries", [4, 8, None])
+    def test_first_invalid_matrix_decides_the_error(self, monkeypatch, block_entries):
+        # in every order and across block boundaries (4 entries: one qubit
+        # matrix per block; None: the default, one block), the error is the
+        # one of the first bad matrix
+        import qlimits.core as core_module
+
+        if block_entries:
+            monkeypatch.setattr(core_module, "_CHECK_BLOCK_ENTRIES", block_entries)
+        rng = np.random.default_rng(43)
+        for _ in range(60):
+            stack = [random_density_operator(rng, (2,)).matrix for _ in range(5)]
+            for slot in rng.choice(5, size=int(rng.integers(1, 4)), replace=False):
+                # each bad matrix off by its own amount, so that the messages differ
+                kind = BAD_KINDS[int(rng.integers(len(BAD_KINDS)))]
+                stack[slot] = _bad_qubit_matrix(kind, float(rng.uniform(0.1, 0.4)))
+            expected = _first_error(stack, (2,))
+            with pytest.raises(expected[0]) as stacked:
+                DensityOperator.stack(np.stack(stack), (2,))
+            assert str(stacked.value) == expected[1]
+
+
 class TestTensorProduct:
     def test_basis_kets(self):
         # |0> (x) |1> -> |01>: amplitude 1 at flat index 1 of dim 4

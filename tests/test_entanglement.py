@@ -285,6 +285,17 @@ class TestClosedForms:
         assert result.stop_reason == "pure"
         assert np.array_equal(result.closest_state.matrix, sigma.matrix)
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (4, 4)])
+    def test_random_product_pure_state_is_exactly_zero(self, dims):
+        # the top eigenvalue of rho_A rounds to 1 +- 4e-16; the value comes
+        # from the renormalized Schmidt weights, of which there is one
+        rng = np.random.default_rng(6)
+        for _ in range(10):
+            psi = tensor_product(random_pure_state(rng, dims[:1]), random_pure_state(rng, dims[1:]))
+            result = relative_entropy_of_entanglement(psi.density())
+            assert result.stop_reason == "pure"
+            assert result.value == 0.0 and math.copysign(1.0, result.value) == 1.0
+
     def test_werner_boundary_is_zero(self):
         result = relative_entropy_of_entanglement(werner_fidelity(0.5))
         assert result.stop_reason == "ppt"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.constants import hbar, k as k_B
 
-from qlimits.core import PureState
+from qlimits.core import DensityOperator, PureState
 from qlimits.jc import (
     MAX_LEVELS,
     CouplingModel,
@@ -417,8 +417,9 @@ class TestDephasingOracle:
         params = DecoherenceParams(0.2, 0.4)
         dist = VibrationalDistribution.coherent(1.0)
         rho = dephasing_oracle_trajectory(dist, params, DI, [5.0])[0]
-        # DensityOperator construction already enforces Hermiticity,
-        # positivity within 1e-8 and unit trace within 1e-10
+        # the trajectory's states are checked together with the tolerances
+        # of one DensityOperator: Hermiticity and unit trace within 1e-10,
+        # positivity within the default eig_tol of 1e-10
         assert abs(np.trace(rho.matrix).real - 1.0) < 1e-10
 
     def test_fock0_coherence_decay_rate(self):
@@ -490,6 +491,27 @@ class TestDephasingOracle:
             np.testing.assert_allclose(
                 oracle_population_lower(grid, dist, params, DI), spin_down, rtol=0, atol=1e-14
             )
+
+    def test_states_match_single_construction(self):
+        # the same matrices, dims and eig_tol as states built one by one
+        # from each time's doublet blocks
+        for dist, model, grid in [
+            (VibrationalDistribution.fock(5), DI, np.linspace(0.0, 4.0, 40)),
+            (VibrationalDistribution.thermal(1.5), VI, np.linspace(0.0, 30.0, 7)),
+            (VibrationalDistribution.coherent(2.0), DI, [0.0]),
+        ]:
+            params = DecoherenceParams(0.12, 0.4)
+            states = dephasing_oracle_trajectory(dist, params, model, grid)
+            blocks, n_levels = _oracle_blocks(dist, params, model, grid)
+            assert len(states) == len(blocks)
+            for state, blk in zip(states, blocks):
+                rho = np.zeros((2 * n_levels, 2 * n_levels), dtype=complex)
+                for n, pair in enumerate(blk):
+                    idx = [n + 1, n_levels + n]
+                    rho[np.ix_(idx, idx)] = pair
+                single = DensityOperator(rho, (2, n_levels))
+                assert np.array_equal(state.matrix, single.matrix)
+                assert (state.dims, state.eig_tol) == (single.dims, single.eig_tol)
 
     def test_noncommuting_dephasing_rejected(self, monkeypatch):
         # the propagator relies on D_n commuting with H; a D_n that does
