@@ -16,8 +16,8 @@ remaining particles of the touched sets:
     prod_m E(n_m)  ->  E(p) (x) E(sum_m n_m - p),
 
 the polygon rule.  The symbolic engine below enumerates outcome
-probabilities and residuals exactly; :func:`verify_against_oracle`
-checks them against an independent stabilizer computation over GF(2).
+probabilities and residuals exactly; :func:`check_outcomes` checks
+them against an independent stabilizer computation over GF(2).
 Untouched sets pass through as separate factors.
 
 Outcome order is the documented total order: lexicographic on the
@@ -43,9 +43,9 @@ __all__ = [
     "polygon_counts",
     "untouched_cats",
     "verify_against_oracle",
+    "check_outcomes",
     "telephone_exchange",
     "scenario_from_dict",
-    "outcomes_to_jsonable",
     "MAX_OUTCOMES",
 ]
 
@@ -295,7 +295,12 @@ def _echelon(rows) -> dict[int, int]:
 
 
 def verify_against_oracle(coll: CatCollection, spec: MeasurementSpec) -> tuple[bool, str]:
-    """Check the symbolic outcomes against the stabilizer oracle.
+    """Enumerate the symbolic outcomes and check them (see :func:`check_outcomes`)."""
+    return check_outcomes(coll, spec, enumerate_outcomes(coll, spec))
+
+
+def check_outcomes(coll: CatCollection, spec: MeasurementSpec, outcomes) -> tuple[bool, str]:
+    """Check the ``outcomes`` of measuring ``spec`` on ``coll`` against the oracle.
 
     Checks exactly that the outcomes are the possible ones, in the
     documented order, each with probability 2^-r for r random outcome
@@ -303,7 +308,6 @@ def verify_against_oracle(coll: CatCollection, spec: MeasurementSpec) -> tuple[b
     of each untouched cat lies, with its sign, in the group that
     stabilizes the unmeasured particles.  Returns (ok, message).
     """
-    outcomes = enumerate_outcomes(coll, spec)
     passthrough = untouched_cats(coll, spec)
     sel = tuple(sorted(spec.selected))
     rest = tuple(p for p in coll.particles if p not in spec.selected)
@@ -459,27 +463,3 @@ def scenario_from_dict(data: dict) -> tuple[CatCollection, MeasurementSpec]:
     spec = MeasurementSpec(_int_list(data["measure"], "measure"))
     return coll, spec
 
-
-def _cat_to_jsonable(cat: CatState | None):
-    if cat is None:
-        return None
-    return {"particles": list(cat.particles), "bits": list(cat.bits), "sign": cat.sign_char()}
-
-
-def outcomes_to_jsonable(coll, spec, outcomes) -> dict:
-    """JSON-ready structure for a scenario's outcomes."""
-    _, rest_order, untouched = _split_by_measurement(coll, spec)
-    return {
-        "measure": sorted(spec.selected),
-        "polygon_counts": [len(spec.selected), len(rest_order)],
-        "untouched": [_cat_to_jsonable(cat) for cat in untouched],
-        "outcomes": [
-            {
-                "basis_bits": list(o.basis.bits),
-                "basis_sign": o.basis.sign_char(),
-                "probability": o.probability,
-                "residual": _cat_to_jsonable(o.residual),
-            }
-            for o in outcomes
-        ],
-    }

@@ -163,20 +163,27 @@ class _IntLists(dict):
         return text
 
 
-def _outcomes_json(blob, outcomes) -> str:
-    """``blob`` as JSON text, with its "outcomes" entry replaced by ``outcomes``.
-
-    The text is byte for byte what :func:`_json_text` makes of the
-    document that :func:`catswap.outcomes_to_jsonable` builds, but the
-    outcome list is filled into a fixed template instead of going
-    through the pure-Python indenting encoder.  Cats are never empty, so
-    no list in the template is.
+def _outcomes_json(coll, spec, outcomes, **extra) -> str:
+    """The outcome document of measuring ``spec`` on ``coll``, with the keys
+    of ``extra`` added, as JSON text: byte for byte what :func:`_json_text`
+    writes, but the outcome list is filled into a fixed template instead
+    of going through the pure-Python indenting encoder.  Cats are never
+    empty, so no list in the template is.
     """
+    from .catswap import polygon_counts, untouched_cats
+
+    blob = {
+        "measure": sorted(spec.selected),
+        "polygon_counts": list(polygon_counts(coll, spec)),
+        "untouched": [{"particles": list(cat.particles), "bits": list(cat.bits), "sign": cat.sign_char()}
+                      for cat in untouched_cats(coll, spec)],
+        **extra,
+    }
     probability = {p: json.dumps(_round12(p)) for p in {o.probability for o in outcomes}}
     basis_ints, residual_ints = _IntLists(8), _IntLists(10)
     # one list of pieces, joined once, so the document is copied only once
     doc = ["{"]
-    for key in sorted(blob):
+    for key in sorted([*blob, "outcomes"]):
         doc.append(f"\n  {json.dumps(key)}: ")
         if key != "outcomes":
             doc.append(json.dumps(_round12(blob[key]), indent=2, sort_keys=True).replace("\n", "\n  "))
@@ -354,15 +361,25 @@ def _str_list(value, what) -> list:
 
 
 def _write_outcomes(write, coll, spec, outcomes, verify, **extra):
-    """Check the outcomes against the stabilizer oracle if ``verify``, then
+    """Check ``outcomes`` against the stabilizer oracle if ``verify``, then
     write the outcome document with the keys of ``extra`` added."""
-    from .catswap import outcomes_to_jsonable, verify_against_oracle
+    from .catswap import check_outcomes
 
     if verify:
-        ok, message = verify_against_oracle(coll, spec)
+        ok, message = check_outcomes(coll, spec, outcomes)
         if not ok:
             raise VerificationMismatch(f"verification mismatch: {message}")
-    write(_outcomes_json({**outcomes_to_jsonable(coll, spec, ()), **extra}, outcomes))
+    write(_outcomes_json(coll, spec, outcomes, **extra))
+
+
+def _write_exchange(write, result, verify):
+    """Write an exchange's outcome document, which also names each user's
+    particle and its partner at the hub."""
+    from .catswap import MeasurementSpec
+
+    _write_outcomes(write, result.collection, MeasurementSpec(result.measured), result.outcomes, verify,
+                    users=result.users, request=result.request,
+                    user_particles=result.user_particles, hub_particles=result.hub_particles)
 
 
 @main.command("swap")
@@ -374,7 +391,7 @@ def cmd_swap(scenario, verify, out):
 
     The file either lists cat states and a measurement ("cats" and
     "measure") or describes an exchange scenario ("users" and
-    "request").
+    "request"), which writes what ``exchange`` writes.
     """
     from . import catswap
 
@@ -383,18 +400,18 @@ def cmd_swap(scenario, verify, out):
             with open(scenario, encoding="utf-8") as fh:
                 data = json.load(fh)
             if isinstance(data, dict) and "users" in data:
-                result = catswap.telephone_exchange(
+                exchange = catswap.telephone_exchange(
                     _str_list(data["users"], "users"), _str_list(data.get("request", []), "request")
                 )
-                coll = result.collection
-                spec = catswap.MeasurementSpec(result.measured)
-                outcomes = result.outcomes
             else:
                 coll, spec = catswap.scenario_from_dict(data)
-                outcomes = catswap.enumerate_outcomes(coll, spec)
+                exchange, outcomes = None, catswap.enumerate_outcomes(coll, spec)
         except (OSError, ValueError, TypeError, RecursionError) as exc:
             raise InputError(f"bad scenario: {exc}") from exc
-        _write_outcomes(write, coll, spec, outcomes, verify)
+        if exchange is None:
+            _write_outcomes(write, coll, spec, outcomes, verify)
+        else:
+            _write_exchange(write, exchange, verify)
 
 
 @main.command("exchange")
@@ -414,11 +431,7 @@ def cmd_exchange(users, request_, verify, out):
             result = catswap.telephone_exchange(user_list, request_list)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
-        _write_outcomes(
-            write, result.collection, catswap.MeasurementSpec(result.measured), result.outcomes,
-            verify, users=result.users, request=result.request,
-            user_particles=result.user_particles, hub_particles=result.hub_particles,
-        )
+        _write_exchange(write, result, verify)
 
 
 # ---------------------------------------------------------------------------

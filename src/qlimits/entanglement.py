@@ -100,8 +100,10 @@ _CLOSED_FORMS = ("pure", "ppt", "bell_diagonal")
 
 
 def _n_terms(dims) -> int:
-    """Number of product terms in a searched separable mixture."""
-    return max(8, int(np.prod(dims)) + 4)
+    """Product terms in a searched mixture: d + 4, at least 8, up to total dimension d =
+    _PPT_MAX_DIM; above it 3d, as fewer leave the descent far above the Werner closed form."""
+    d = int(np.prod(dims))
+    return max(8, d + 4) if d <= _PPT_MAX_DIM else 3 * d
 
 
 def _product_vectors(a, b) -> np.ndarray:

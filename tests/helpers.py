@@ -1,11 +1,19 @@
-"""Shared helpers for the test suite: random sampling, and the dense
-state-vector oracle for cat-state swapping."""
+"""Shared helpers for the test suite: random sampling, the dense
+state-vector oracle for cat-state swapping, and the reference outcome
+document of the swap and exchange commands."""
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from qlimits.catswap import CatCollection, CatState, MeasurementSpec, enumerate_outcomes, untouched_cats
+from qlimits.catswap import (
+    CatCollection,
+    CatState,
+    MeasurementSpec,
+    enumerate_outcomes,
+    polygon_counts,
+    untouched_cats,
+)
 from qlimits.core import DensityOperator, PureState
 
 
@@ -28,6 +36,27 @@ def random_density_operator(rng, dims, rank=None):
     z = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
     m = z @ z.conj().T
     return DensityOperator(m / np.trace(m).real, dims)
+
+
+def werner_matrix(d, p):
+    """d x d Werner state with weight p on the antisymmetric subspace.
+
+    For p >= 1/2 its relative entropy of entanglement is
+    ln 2 + p ln p + (1 - p) ln(1 - p) (Vedral & Plenio, PRA 57, 1619
+    (1998); Rains, PRA 60, 179 (1999))."""
+    swap = np.eye(d * d).reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
+    anti, sym = (np.eye(d * d) - swap) / 2.0, (np.eye(d * d) + swap) / 2.0
+    return p * anti / (d * (d - 1) / 2.0) + (1.0 - p) * sym / (d * (d + 1) / 2.0)
+
+
+def isotropic_matrix(d, f):
+    """d x d isotropic state of fidelity f with the maximally entangled state.
+
+    For f >= 1/d its relative entropy of entanglement is
+    ln d + f ln f + (1 - f) ln((1 - f)/(d - 1)) (same references)."""
+    phi = np.eye(d).reshape(-1) / math.sqrt(d)
+    projector = np.outer(phi, phi)
+    return f * projector + (1.0 - f) * (np.eye(d * d) - projector) / (d * d - 1)
 
 
 def random_swap_scenario(rng, max_particles=12, max_cats=4):
@@ -202,3 +231,29 @@ LARGE_SWAP_SCENARIO = {
     ],
     "measure": [0, 1, 3, 5, 7, 9, 11],
 }
+
+
+def _cat_document(cat: CatState | None):
+    if cat is None:
+        return None
+    return {"particles": list(cat.particles), "bits": list(cat.bits), "sign": "+" if cat.sign > 0 else "-"}
+
+
+def outcome_document(coll: CatCollection, spec: MeasurementSpec, outcomes) -> dict:
+    """The document ``swap`` writes for ``outcomes`` of measuring ``spec`` on
+    ``coll``, built field by field from the outcome objects, for the stdlib
+    encoder to spell."""
+    return {
+        "measure": sorted(spec.selected),
+        "polygon_counts": list(polygon_counts(coll, spec)),
+        "untouched": [_cat_document(cat) for cat in untouched_cats(coll, spec)],
+        "outcomes": [
+            {
+                "basis_bits": list(o.basis.bits),
+                "basis_sign": "+" if o.basis.sign > 0 else "-",
+                "probability": o.probability,
+                "residual": _cat_document(o.residual),
+            }
+            for o in outcomes
+        ],
+    }

@@ -22,7 +22,6 @@ from qlimits.catswap import (
     CatState,
     MeasurementSpec,
     enumerate_outcomes,
-    outcomes_to_jsonable,
     polygon_counts,
     SwapOutcome,
     scenario_from_dict,
@@ -522,10 +521,9 @@ class TestScenarioSchema:
         }
         coll, spec = scenario_from_dict(data)
         outcomes = enumerate_outcomes(coll, spec)
-        blob = outcomes_to_jsonable(coll, spec, outcomes)
-        assert blob["polygon_counts"] == [2, 2]
-        assert len(blob["outcomes"]) == 4
-        assert blob["outcomes"][0]["residual"]["particles"] == [1, 4]
+        assert polygon_counts(coll, spec) == (2, 2)
+        assert len(outcomes) == 4
+        assert outcomes[0].residual.particles == (1, 4)
 
     def test_bad_scenarios_rejected(self):
         with pytest.raises(ValueError, match="'cats' and 'measure'"):

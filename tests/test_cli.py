@@ -17,7 +17,7 @@ from click.testing import CliRunner
 
 import qlimits
 import qlimits.cli as cli_module
-from helpers import LARGE_SWAP_SCENARIO, random_swap_scenario
+from helpers import LARGE_SWAP_SCENARIO, outcome_document, random_swap_scenario, werner_matrix
 from qlimits import catswap, feasibility
 from qlimits.cli import CSV_BLOCK_ROWS, MAX_CELLS, MAX_ORACLE_CELLS, MAX_POINTS, main
 from qlimits.jc import (
@@ -88,8 +88,8 @@ def run_python(*args, check=True):
 
 def test_exchange_verify_worst_case():
     # 16 users, all requested: 65536 outcomes, the most MAX_OUTCOMES allows.
-    # The run takes 3.1-3.6 s of CPU on a 2-core x86-64 host; the bound
-    # leaves about twice that.
+    # The run takes 1.6-2.4 s of CPU on a 2-core x86-64 host; the bound
+    # leaves about three times that.
     names = ",".join(f"u{i}" for i in range(16))
     argv = ["-m", "qlimits.cli", "exchange", "--users", names, "--request", names]
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
@@ -608,10 +608,39 @@ class TestSwap:
         data = json.loads(result.output)
         assert data["measure"] == [2, 3, 5]
 
+    @pytest.mark.parametrize("users, request_", [("A,B,C,D", "A,B,C"), ("A", "A"), ("u1,u2,u3", "u3,u1")])
+    def test_exchange_file_writes_the_exchange_document(self, runner, tmp_path, users, request_):
+        scenario = tmp_path / "exchange.json"
+        scenario.write_text(json.dumps({"users": users.split(","), "request": request_.split(",")}))
+        swapped = invoke(runner, "swap", str(scenario), "--verify")
+        assert swapped.exit_code == 0
+        assert swapped.stdout == invoke(runner, "exchange", "--users", users, "--request", request_).stdout
+        assert json.loads(swapped.stdout)["user_particles"]["A" if users[0] == "A" else "u1"] == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["swap", "{swap}", "--verify"],
+        ["swap", "{exchange}", "--verify"],
+        ["exchange", "--users", "A,B,C,D", "--request", "A,B,C", "--verify"],
+    ], ids=["swap", "swap-exchange-file", "exchange"])
+    def test_verify_enumerates_once(self, runner, tmp_path, monkeypatch, argv):
+        write_standard_swap(tmp_path / "swap.json")
+        (tmp_path / "exchange.json").write_text(json.dumps({"users": ["A", "B"], "request": ["A", "B"]}))
+        calls = []
+        enumerate_outcomes = catswap.enumerate_outcomes
+
+        def counted(coll, spec):
+            calls.append(spec)
+            return enumerate_outcomes(coll, spec)
+
+        monkeypatch.setattr(catswap, "enumerate_outcomes", counted)
+        argv = [arg.format(swap=tmp_path / "swap.json", exchange=tmp_path / "exchange.json") for arg in argv]
+        assert invoke(runner, *argv).exit_code == 0
+        assert len(calls) == 1
+
     def test_verify_mismatch_exits_4(self, runner, tmp_path, monkeypatch):
         scenario = tmp_path / "swap.json"
         write_standard_swap(scenario)
-        monkeypatch.setattr(catswap, "verify_against_oracle", lambda coll, spec: (False, "forced"))
+        monkeypatch.setattr(catswap, "check_outcomes", lambda coll, spec, outcomes: (False, "forced"))
         result = runner.invoke(main, ["swap", str(scenario), "--verify"])
         assert result.exit_code == 4
 
@@ -652,7 +681,7 @@ class TestSwap:
         write_standard_swap(scenario)
         out = tmp_path / "out.json"
         out.write_text("old bytes")
-        monkeypatch.setattr(catswap, "verify_against_oracle", lambda coll, spec: (False, "forced"))
+        monkeypatch.setattr(catswap, "check_outcomes", lambda coll, spec, outcomes: (False, "forced"))
         result = runner.invoke(main, ["swap", str(scenario), "--verify", "--out", str(out)])
         assert result.exit_code == 4
         assert result.stderr == "Error: verification mismatch: forced\n"
@@ -734,9 +763,6 @@ def reference_json(blob):
 
 
 class TestOutcomeEmitter:
-    def emitted(self, blob, outcomes):
-        return cli_module._outcomes_json(blob, outcomes)
-
     def test_matches_stdlib_encoder_on_scenarios(self):
         bell = [{"particles": [1, 2], "bits": [0, 0], "sign": "+"},
                 {"particles": [3, 4], "bits": [0, 0], "sign": "+"}]
@@ -754,12 +780,11 @@ class TestOutcomeEmitter:
         for coll, spec in scenarios:
             outcomes = catswap.enumerate_outcomes(coll, spec)
             consumed += outcomes[0].residual is None
-            expected = reference_json(catswap.outcomes_to_jsonable(coll, spec, outcomes))
-            assert self.emitted(catswap.outcomes_to_jsonable(coll, spec, ()), outcomes) == expected
+            expected = reference_json(outcome_document(coll, spec, outcomes))
+            assert cli_module._outcomes_json(coll, spec, outcomes) == expected
         assert consumed >= 10
         coll, spec = scenarios[0]
-        empty = catswap.outcomes_to_jsonable(coll, spec, ())
-        assert self.emitted(empty, ()) == reference_json(empty)
+        assert cli_module._outcomes_json(coll, spec, ()) == reference_json(outcome_document(coll, spec, ()))
 
     @pytest.mark.parametrize("users, request_", [
         ("A", "A"), ("A,B,C,D", "A,B,C"), ("A,B,C,D,E,F,G,H", "H,B"),
@@ -769,9 +794,7 @@ class TestOutcomeEmitter:
     def test_exchange_matches_stdlib_encoder(self, runner, users, request_):
         output = invoke(runner, "exchange", "--users", users, "--request", request_).output
         result = catswap.telephone_exchange(users.split(","), request_.split(","))
-        blob = catswap.outcomes_to_jsonable(
-            result.collection, catswap.MeasurementSpec(result.measured), result.outcomes
-        )
+        blob = outcome_document(result.collection, catswap.MeasurementSpec(result.measured), result.outcomes)
         blob.update(users=list(result.users), request=list(result.request),
                     user_particles=result.user_particles, hub_particles=result.hub_particles)
         assert output == reference_json(blob)
@@ -855,6 +878,16 @@ class TestRee:
             data = json.loads(result.output)
             assert result.output.endswith('"value_nats": 0.0\n}\n')
             assert data["value_nats"] == 0.0 and data["value_bits"] == 0.0
+
+    def test_werner_4x4_value(self, runner, tmp_path):
+        # ln 2 + p ln p + (1 - p) ln(1 - p) at antisymmetric weight p = 0.55;
+        # a 20-term mixture printed 0.0259708
+        state = tmp_path / "werner.json"
+        matrix = [[[x, 0.0] for x in row] for row in werner_matrix(4, 0.55)]
+        state.write_text(json.dumps({"matrix": matrix, "dims": [4, 4]}))
+        result = invoke(runner, "ree", str(state))
+        assert result.exit_code == 0
+        assert json.loads(result.output)["value_nats"] == pytest.approx(0.0050084, abs=1e-4)
 
     @pytest.mark.parametrize("cell", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_cell_exits_3(self, runner, tmp_path, cell):
