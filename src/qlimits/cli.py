@@ -43,8 +43,10 @@ MAX_POINTS = 1_000_000
 # each cell costs 10-30 ns, so a curve at the cap takes about 2 s.  A larger
 # one is an input error.
 MAX_CELLS = 2**26
-# Largest jc --oracle grid, in time points x doublets (points x (n_max + 1));
-# the oracle holds about 123 bytes per cell.  A larger one is an input error.
+# Largest jc --oracle grid, in time points x doublets (points x (n_max + 1)).
+# The oracle forms its populations a block of time points at a time, so a
+# run just under the cap peaks at 41-69 MB and takes 0.5-1.5 s of CPU.  A
+# larger one is an input error.
 MAX_ORACLE_CELLS = 2**21
 # jc formats and writes its CSV this many rows at a time, so the text it
 # holds does not grow with the grid.

@@ -100,10 +100,10 @@ _CLOSED_FORMS = ("pure", "ppt", "bell_diagonal")
 
 
 def _n_terms(dims) -> int:
-    """Product terms in a searched mixture: d + 4, at least 8, up to total dimension d =
+    """Product terms in a searched mixture: d + 4 up to total dimension d =
     _PPT_MAX_DIM; above it 3d, as fewer leave the descent far above the Werner closed form."""
     d = int(np.prod(dims))
-    return max(8, d + 4) if d <= _PPT_MAX_DIM else 3 * d
+    return d + 4 if d <= _PPT_MAX_DIM else 3 * d
 
 
 def _product_vectors(a, b) -> np.ndarray:
@@ -352,13 +352,14 @@ def relative_entropy_of_entanglement(sigma: DensityOperator) -> EntanglementResu
     """min over separable rho of S(sigma || rho), in nats.
 
     Pure inputs (top eigenvalue within 1e-12 of 1) return the entropy
-    of the Schmidt weights; PPT inputs in 2x2 and 2x3 (partial-transpose
-    spectrum >= -1e-12) return S(sigma || rho') for the nearest PPT
-    mixture rho' of sigma and white noise, which is exactly 0 when the
-    partial transpose is positive; NPT 2x2 inputs with maximally mixed
-    marginals return the Bell-diagonal closed form.  These report no
-    restarts and no iterations.  Every other input runs one
-    deterministic descent.
+    of the Schmidt weights; inputs with a factor of dimension 1 return 0
+    with stop reason "ppt", and the input as the closest state; PPT
+    inputs in 2x2 and 2x3 (partial-transpose spectrum >= -1e-12) return
+    S(sigma || rho') for the nearest PPT mixture rho' of sigma and white
+    noise, which is exactly 0 when the partial transpose is positive;
+    NPT 2x2 inputs with maximally mixed marginals return the
+    Bell-diagonal closed form.  These report no restarts and no
+    iterations.  Every other input runs one deterministic descent.
     ``stop_reason`` names the route, and the closest separable state is
     returned either way.
     """
@@ -366,6 +367,9 @@ def relative_entropy_of_entanglement(sigma: DensityOperator) -> EntanglementResu
     lam, vecs = np.linalg.eigh(sigma.matrix)
     if lam[-1] > 1.0 - _PURE_TOL:
         return _pure_closed_form(sigma, vecs[:, -1])
+    if min(sigma.dims) == 1:
+        # every state of a product space is a product state
+        return EntanglementResult(0.0, sigma, "ppt")
     if sigma.dim <= _PPT_MAX_DIM:
         d_a, d_b = sigma.dims
         gamma = sigma.matrix.reshape(d_a, d_b, d_a, d_b).transpose(0, 3, 2, 1).reshape(sigma.dim, -1)

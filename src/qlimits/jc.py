@@ -25,6 +25,7 @@ quanta drives upward).  The uncoupled ground ket |down, 0> never enters.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -393,10 +394,41 @@ def population_lower(
 # unitary eigenbasis of the block, and rho(t) = exp(L t) rho(0) follows
 # exactly, with no step size.  (numpy.linalg.eig returns nearly parallel
 # eigenvectors for the double eigenvalue 0 of an undamped block.)
+#
+# Every doublet has the same dressed kets on its own basis, so D_n = D_0,
+# and H_n = sqrt(n+1) X for the Pauli matrix X: every block is
+# L_n = -i sqrt(n+1) [X, .] + (A_n/2) K for one commutator form and one
+# dephasing form K, and every block has the eigenbasis vec(|u_i><u_j|) of
+# the eigenvectors u of X.  These three 4x4 forms are built once, on first
+# use; each call still checks that every L_n is diagonal in them.
+
+# Time points x doublets per block of oracle_population_lower; a block's
+# arrays take about 100 bytes per cell, so about 6 MB in all.
+_POPULATION_BLOCK_CELLS = 2**16
 
 
-def _oracle_blocks(dist, params, model, t_grid) -> tuple[np.ndarray, int]:
-    """rho(t) on (|down,n+1>, |up,n>) for each doublet n, shape (T, n_max + 1, 2, 2),
+@functools.cache
+def _doublet_forms() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The commutator and dephasing superoperators of a doublet on
+    (|down,n+1>, |up,n>), and their shared eigenbasis: column i*2+j is
+    vec(|u_i><u_j|) for the eigenvectors u of X.  Read-only."""
+    plus, minus = (s.amplitudes[[1, 2]] for s in dressed_states(0, 2))
+    d = np.outer(plus, plus.conj()) - np.outer(minus, minus.conj())
+    d_sq = d @ d
+    pauli_x, eye = np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)
+    # row-major vectorization: vec(X rho Y) = (X kron Y^T) vec(rho)
+    commutator = np.kron(pauli_x, eye) - np.kron(eye, pauli_x)
+    dephasing = np.kron(d, d.T) - 0.5 * (np.kron(d_sq, eye) + np.kron(eye, d_sq.T))
+    _, u = np.linalg.eigh(pauli_x)
+    vecs = np.kron(u, u.conj())
+    for form in (commutator, dephasing, vecs):
+        form.setflags(write=False)
+    return commutator, dephasing, vecs
+
+
+def _oracle_modes(dist, params, model, t_grid):
+    """The checked time grid, the doublet eigenvalues (n_max + 1, 4), the
+    shared eigenbasis, the initial state's coefficients in it (n_max + 1, 4),
     and the motional truncation of the dense states."""
     t = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if t.size == 0:
@@ -412,34 +444,35 @@ def _oracle_blocks(dist, params, model, t_grid) -> tuple[np.ndarray, int]:
     # the block algebra below forms sums of up to 2 A_n
     if not math.isfinite(4.0 * float(rates.max())):
         raise ValueError("the damping rates leave the float range of the oracle")
-    # Every doublet has the same dressed kets on its own basis, so D_n = D_0,
-    # and H_n = sqrt(n+1) X for the Pauli matrix X: all blocks follow from
-    # one 4x4 form, without the dense (2 n_levels)^2 operators.
-    plus, minus = (s.amplitudes[[1, 2]] for s in dressed_states(0, 2))
-    d = np.outer(plus, plus.conj()) - np.outer(minus, minus.conj())
-    d_sq = d @ d
-    pauli_x, eye = np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)
+    commutator, dephasing, vecs = _doublet_forms()
     coupling = np.sqrt(np.arange(1.0, dist.n_max + 2))[:, None, None]
-    # row-major vectorization: vec(X rho Y) = (X kron Y^T) vec(rho)
-    liouvillians = (
-        -1j * (coupling * (np.kron(pauli_x, eye) - np.kron(eye, pauli_x)))
-        + (0.5 * rates)[:, None, None]
-        * (np.kron(d, d.T) - 0.5 * (np.kron(d_sq, eye) + np.kron(eye, d_sq.T)))
-    )
-    # column i*2+j is vec(|u_i><u_j|) for the eigenvectors u of H_n
-    _, u = np.linalg.eigh(coupling * pauli_x)
-    vecs = np.einsum("kij,kab->kiajb", u, u.conj()).reshape(-1, 4, 4)
-    evals = np.einsum("kji,kjl,kli->ki", vecs.conj(), liouvillians, vecs)
+    liouvillians = -1j * (coupling * commutator) + (0.5 * rates)[:, None, None] * dephasing
+    evals = np.einsum("ji,kjl,li->ki", vecs.conj(), liouvillians, vecs)
     residual = np.abs(liouvillians @ vecs - vecs * evals[:, None, :]).max()
     if residual > 1e-10 * max(1.0, np.abs(liouvillians).max()):
         raise RuntimeError(f"doublet Liouvillian not diagonal in the energy basis: {residual:.3e}")
     # initial weights sit on the spin-down member of each doublet (vec index 0)
-    coeffs = vecs[:, 0, :].conj() * dist.p_n[:, None]
-    # every eigenvalue has real part 0 or -A_n, so an A_n t beyond the
-    # float range only rounds its exponential to 0
+    coeffs = vecs[0, :].conj() * dist.p_n[:, None]
+    return t, evals, vecs, coeffs, n_levels
+
+
+def _modal_amplitudes(evals, coeffs, t) -> np.ndarray:
+    """coeffs * exp(evals t), shape (T, n_max + 1, 4).
+
+    Every eigenvalue has real part 0 or -A_n, so an A_n t beyond the
+    float range only rounds its exponential to 0."""
     with np.errstate(over="ignore"):
-        decay = np.exp(evals * t[:, None, None])
-    blocks = np.einsum("kij,tkj->tki", vecs, coeffs * decay)
+        amplitudes = evals * t[:, None, None]
+        np.exp(amplitudes, out=amplitudes)
+    amplitudes *= coeffs
+    return amplitudes
+
+
+def _oracle_blocks(dist, params, model, t_grid) -> tuple[np.ndarray, int]:
+    """rho(t) on (|down,n+1>, |up,n>) for each doublet n, shape (T, n_max + 1, 2, 2),
+    and the motional truncation of the dense states."""
+    t, evals, vecs, coeffs, n_levels = _oracle_modes(dist, params, model, t_grid)
+    blocks = np.einsum("ij,tkj->tki", vecs, _modal_amplitudes(evals, coeffs, t))
     return blocks.reshape(t.size, -1, 2, 2), n_levels
 
 
@@ -469,9 +502,18 @@ def oracle_population_lower(
     params: DecoherenceParams,
     model: CouplingModel,
 ) -> np.ndarray:
-    """P_down(t) from the exact propagator: the summed |down,n+1> populations."""
-    blocks, _ = _oracle_blocks(dist, params, model, t_grid)
-    return blocks[:, :, 0, 0].real.sum(axis=1)
+    """P_down(t) from the exact propagator: the summed |down,n+1> populations.
+
+    Only these populations are formed, a block of time points at a time,
+    so memory stays bounded on long grids."""
+    t, evals, vecs, coeffs, _ = _oracle_modes(dist, params, model, t_grid)
+    rows = max(1, _POPULATION_BLOCK_CELLS // len(coeffs))
+    out = np.empty(t.size)
+    for start in range(0, t.size, rows):
+        amplitudes = _modal_amplitudes(evals, coeffs, t[start:start + rows])
+        lower = np.einsum("j,tkj->tk", vecs[0], amplitudes).real
+        out[start:start + rows] = lower.sum(axis=1)
+    return out
 
 
 def dressed_coherence(rho: DensityOperator, n: int) -> complex:

@@ -100,6 +100,27 @@ def test_exchange_verify_worst_case():
     assert verified.stdout == run_python(*argv).stdout
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+def test_oracle_near_cell_cap_in_bounded_memory():
+    # thermal:12.5 has 240 doublets, so 8700 points are 2088000 cells, just
+    # under MAX_ORACLE_CELLS.  The child reads its own peak RSS: a child's
+    # ru_maxrss also counts the pages of the process that started it.
+    script = (
+        "import atexit, sys\n"
+        "from qlimits.cli import main\n"
+        "def peak():\n"
+        "    with open('/proc/self/status') as status:\n"
+        "        kib = next(int(line.split()[1]) for line in status if line.startswith('VmHWM:'))\n"
+        "    sys.stderr.write(f'peak_kib={kib}\\n')\n"
+        "atexit.register(peak)\n"
+        "main(['jc', '--dist', 'thermal:12.5', '--points', '8700', '--oracle'])\n"
+    )
+    result = run_python("-c", script)
+    assert len(result.stdout.splitlines()) == 8701
+    kib = int(result.stderr.rsplit("peak_kib=", 1)[1])
+    assert kib < 100 * 1024, kib
+
+
 def test_cli_imports_no_scipy():
     # scipy is a test-only dependency; the CLI must start without it
     result = run_python("-c", "import sys, qlimits.cli; print('scipy' in sys.modules)")
@@ -858,6 +879,17 @@ class TestRee:
         assert result.exit_code == 0
         assert "-0.0" not in result.output
         assert json.loads(result.output)["value_nats"] == 0.0
+
+    def test_product_space_prints_zero(self, runner, tmp_path):
+        # an eigenvalue of -2e-12 is a state but fails the PPT test; this
+        # printed "value_nats": -4.80000483793e-11 before
+        state = tmp_path / "product.json"
+        state.write_text('{"matrix": [[[0.999999999952, 0], [0, 0]], [[0, 0], [-2e-12, 0]]], "dims": [1, 2]}')
+        result = invoke(runner, "ree", str(state))
+        assert result.exit_code == 0
+        data = json.loads(result.output)
+        assert (data["value_nats"], data["restarts"]) == (0.0, 0)
+        assert result.output.endswith('"value_nats": 0.0\n}\n')
 
     @pytest.mark.parametrize("dims", [[2, 2], [2, 3], [3, 3], [4, 4]])
     def test_random_product_pure_state_prints_zero(self, runner, tmp_path, dims):

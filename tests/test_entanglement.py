@@ -296,6 +296,29 @@ class TestClosedForms:
             assert result.stop_reason == "pure"
             assert result.value == 0.0 and math.copysign(1.0, result.value) == 1.0
 
+    def test_product_space_input_is_exactly_zero(self):
+        # passes DensityOperator (eigenvalue floor -1e-10) but not the PPT
+        # test (floor -1e-12); the search read -4.8e-11 on it
+        sigma = DensityOperator(np.diag([0.999999999952, -2e-12]), (1, 2))
+        result = relative_entropy_of_entanglement(sigma)
+        assert (result.value, result.stop_reason, result.restarts_used) == (0.0, "ppt", 0)
+        assert result.closest_state is sigma
+
+    @pytest.mark.parametrize("dims", [(1, 2), (2, 1), (1, 4), (4, 1)])
+    def test_product_space_at_the_state_floor(self, dims):
+        # one eigenvalue in [-1e-10, 0) and a trace short of 1 by up to
+        # 9e-11, both within DensityOperator's tolerances: every such state
+        # of a product space reads exactly 0, with no negative rounding
+        rng = np.random.default_rng(11)
+        d = dims[0] * dims[1]
+        for _ in range(50):
+            lam = rng.dirichlet(np.ones(d))
+            lam[0] = -(10.0 ** rng.uniform(-16.0, -10.0))
+            lam[1:] *= (1.0 - rng.uniform(0.0, 9e-11) - lam[0]) / lam[1:].sum()
+            q = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+            result = relative_entropy_of_entanglement(DensityOperator((q * lam) @ q.conj().T, dims))
+            assert result.value == 0.0 and math.copysign(1.0, result.value) == 1.0
+
     def test_werner_boundary_is_zero(self):
         result = relative_entropy_of_entanglement(werner_fidelity(0.5))
         assert result.stop_reason == "ppt"

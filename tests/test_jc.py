@@ -1,4 +1,5 @@
 """Tests for the damped Jaynes-Cummings module."""
+import functools
 import math
 import sys
 import time
@@ -492,6 +493,24 @@ class TestDephasingOracle:
                 oracle_population_lower(grid, dist, params, DI), spin_down, rtol=0, atol=1e-14
             )
 
+    @pytest.mark.parametrize("dist", [VibrationalDistribution.fock(0), VibrationalDistribution.fock(5),
+                                      VibrationalDistribution.coherent(3.0), VibrationalDistribution.thermal(0.5)])
+    @pytest.mark.parametrize("model", [DI, VI])
+    def test_population_blocks_match_trajectory(self, dist, model, monkeypatch):
+        # the populations are formed a block of time points at a time; with
+        # 13 cells a block, these 251-point grids run blocks of 13 points
+        # (fock:0) and 2 points (fock:5), each ending in a partial block, and
+        # of 1 point, and the sums equal the trajectory's summed |down,n+1>
+        # populations to the bit
+        import qlimits.jc as jc_module
+
+        monkeypatch.setattr(jc_module, "_POPULATION_BLOCK_CELLS", 13)
+        params = DecoherenceParams(0.127, 0.4)
+        grid = np.linspace(0.0, 30.0, 251)
+        states = dephasing_oracle_trajectory(dist, params, model, grid)
+        lower = np.array([s.matrix.diagonal()[1:dist.n_max + 2].real for s in states])
+        assert np.array_equal(oracle_population_lower(grid, dist, params, model), lower.sum(axis=1))
+
     def test_states_match_single_construction(self):
         # the same matrices, dims and eig_tol as states built one by one
         # from each time's doublet blocks
@@ -524,6 +543,9 @@ class TestDephasingOracle:
             return PureState(up, (2, n_levels)), PureState(down, (2, n_levels))
 
         monkeypatch.setattr(jc_module, "dressed_states", bare_pair)
+        # the shared doublet forms are cached on first use: build them
+        # afresh from the patched states, and restore the cached ones after
+        monkeypatch.setattr(jc_module, "_doublet_forms", functools.cache(jc_module._doublet_forms.__wrapped__))
         with pytest.raises(RuntimeError, match="not diagonal"):
             dephasing_oracle_trajectory(
                 VibrationalDistribution.fock(0), DecoherenceParams(0.2, 0.4), DI, [1.0]
