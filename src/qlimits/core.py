@@ -33,8 +33,8 @@ ENTROPY_EIGENVALUE_CUTOFF = 1e-12
 # Weight of sigma tolerated outside the support of rho before S(sigma||rho)
 # is declared infinite.
 SUPPORT_TOL = 1e-10
-# Matrix entries per block of a stack checked at once (256 KiB of complex).
-_CHECK_BLOCK_ENTRIES = 1 << 14
+# Matrix entries per chunk of a stack checked at once (256 KiB of complex).
+_CHECK_CHUNK_ENTRIES = 1 << 14
 
 
 class KindMismatchError(TypeError):
@@ -54,20 +54,43 @@ def _frozen_array(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _check_density_matrices(mats: np.ndarray, dims: tuple[int, ...], eig_tol: float) -> None:
-    """Raise the ValueError that the first invalid matrix of the ``(n, d, d)``
-    stack ``mats`` would raise on its own; the checks of each matrix run
-    in the order shape, finite entries, Hermiticity, trace, spectrum."""
+def _check_density_matrices(blocks: np.ndarray, rows: np.ndarray | None, dims: tuple[int, ...],
+                            eig_tol: float) -> None:
+    """Raise the ValueError that the first invalid matrix of a stack would
+    raise on its own; the checks of each matrix run in the order shape,
+    finite entries, Hermiticity, trace, spectrum.
+
+    ``blocks`` is the ``(n*K, b, b)`` stack of the matrices' diagonal
+    blocks, K per matrix, and every other entry is 0: row j of a matrix's
+    block k is basis row ``rows[k, j]``, and the rows are distinct and
+    within ``dims``.  ``rows=None`` stands for one block over every row in
+    order, a dense matrix.  A matrix's Hermiticity is then the largest
+    deviation over its blocks, its trace the sum of its diagonal in basis
+    order, and its spectrum that of its blocks, plus 0 for the rows no
+    block covers.
+    """
     d = math.prod(dims)
-    if mats.shape[1:] != (d, d):
-        raise ValueError(f"matrix of shape {mats.shape[1:]} does not match dims {dims}")
-    # in blocks, so that the temporaries stay small next to a long stack
-    step = max(1, _CHECK_BLOCK_ENTRIES // (d * d))
-    blocks = [mats] if len(mats) <= step else [mats[i:i + step] for i in range(0, len(mats), step)]
-    for block in blocks:
+    if rows is None and blocks.shape[1:] != (d, d):
+        raise ValueError(f"matrix of shape {blocks.shape[1:]} does not match dims {dims}")
+    k, b = (1, d) if rows is None else rows.shape
+    # whole matrices in chunks, so that the temporaries stay small next to
+    # a long stack
+    step = k * max(1, _CHECK_CHUNK_ENTRIES // (k * b * b))
+    chunks = [blocks] if len(blocks) <= step else [blocks[i:i + step] for i in range(0, len(blocks), step)]
+    for chunk in chunks:
         with np.errstate(invalid="ignore"):  # inf - inf, reported below
-            herm = abs(block - block.conj().swapaxes(1, 2)).max(axis=(1, 2)).tolist()
-        tr = block.trace(axis1=1, axis2=2).tolist()
+            herm = abs(chunk - chunk.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        if k > 1:
+            herm = herm.reshape(-1, k).max(axis=1)
+        herm = herm.tolist()
+        if rows is None:
+            tr = chunk.trace(axis1=1, axis2=2).tolist()
+        else:
+            # the diagonal summed in basis order, with the zeros between
+            # the blocks, as the trace of the dense matrix is
+            diag = np.zeros((len(herm), d), dtype=complex)
+            diag[:, rows.reshape(-1)] = chunk.diagonal(axis1=1, axis2=2).reshape(len(herm), -1)
+            tr = diag.sum(axis=1).tolist()
         # the spectra are taken of the matrices before the first to fail
         # here; a NaN or infinite entry makes its deviation NaN or infinite
         n_ok = 0
@@ -76,7 +99,12 @@ def _check_density_matrices(mats: np.ndarray, dims: tuple[int, ...], eig_tol: fl
                 break
             n_ok += 1
         if n_ok:
-            lo = np.linalg.eigvalsh(block[:n_ok])[:, 0].tolist()
+            lo = np.linalg.eigvalsh(chunk[:n_ok * k])[:, 0]
+            if k > 1:
+                lo = lo.reshape(n_ok, k).min(axis=1)
+            if k * b < d:  # the rows no block covers
+                lo = np.minimum(lo, 0.0)
+            lo = lo.tolist()
             if min(lo) < -eig_tol:
                 negative = next(x for x in lo if x < -eig_tol)
                 raise ValueError(f"matrix has negative eigenvalue {negative:.3e}")
@@ -142,24 +170,48 @@ class DensityOperator:
     def __post_init__(self):
         dims = _as_dims(self.dims)
         mat = _frozen_array(self.matrix)
-        _check_density_matrices(mat[np.newaxis], dims, self.eig_tol)
+        _check_density_matrices(mat[np.newaxis], None, dims, self.eig_tol)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "eig_tol", float(self.eig_tol))
 
     @classmethod
-    def stack(cls, matrices, dims, eig_tol: float = 1e-10) -> list["DensityOperator"]:
-        """One state per matrix of an ``(n, d, d)`` stack, checked together.
+    def stack(cls, blocks, rows, dims, eig_tol: float = 1e-10) -> list["DensityOperator"]:
+        """One state per matrix of a stack given by its diagonal blocks, checked together.
 
-        The checks and tolerances are those of the constructor, each run
-        over many matrices at once (one ``eigvalsh`` call per block of
-        up to 256 KiB); an invalid stack raises the error that building
-        its matrices one by one, in order, would raise first.  The
-        states share one read-only copy of the stack.
+        ``blocks`` is an ``(n, K, b, b)`` array: matrix i is zero but for
+        the block ``blocks[i, k]`` on the basis rows ``rows[k]``.  ``rows``
+        is a ``(K, b)`` array of distinct indices into the space of
+        ``dims``, or ``None`` for one block over the whole space (a dense
+        ``(n, 1, d, d)`` stack).  The checks and tolerances are those of the
+        constructor, each run over many blocks at once (one ``eigvalsh``
+        call per chunk of up to 256 KiB); an invalid stack raises the error
+        that building its dense matrices one by one, in order, would raise
+        first.  Each dense matrix is written once, into one read-only array
+        that the states share and that does not alias ``blocks``.
         """
         dims = _as_dims(dims)
-        mats = _frozen_array(matrices)
-        _check_density_matrices(mats, dims, eig_tol)
+        d = math.prod(dims)
+        blocks = np.asarray(blocks, dtype=complex)
+        if (blocks.ndim != 4 or 0 in blocks.shape[1:] or blocks.shape[2] != blocks.shape[3]
+                or (rows is None and blocks.shape[1] != 1)):
+            raise ValueError(f"blocks of shape {blocks.shape} are not an (n, K, b, b) stack "
+                             "(K = 1 when rows is None)")
+        if rows is not None:
+            rows = np.asarray(rows)
+            if rows.shape != blocks.shape[1:3] or rows.dtype.kind not in "iu":
+                raise ValueError(f"rows must be integers of shape {blocks.shape[1:3]}")
+            if rows.min() < 0 or rows.max() >= d:
+                raise ValueError(f"block rows must lie in range({d}) for dims {dims}")
+            if np.bincount(rows.reshape(-1)).max() > 1:
+                raise ValueError("blocks overlap: a basis row is in more than one block")
+        _check_density_matrices(blocks.reshape(-1, *blocks.shape[2:]), rows, dims, eig_tol)
+        mats = np.zeros((len(blocks), d, d), dtype=complex)
+        if rows is None:
+            mats[:] = blocks[:, 0]
+        else:
+            mats[:, rows[:, :, np.newaxis], rows[:, np.newaxis, :]] = blocks
+        mats.setflags(write=False)
         eig_tol = float(eig_tol)
         states = []
         for mat in mats:

@@ -375,7 +375,7 @@ def relative_entropy_of_entanglement(sigma: DensityOperator) -> EntanglementResu
         gamma = sigma.matrix.reshape(d_a, d_b, d_a, d_b).transpose(0, 3, 2, 1).reshape(sigma.dim, -1)
         gamma_min = float(np.linalg.eigvalsh(gamma)[0])
         if gamma_min >= -_PPT_TOL:
-            return _ppt_closed_form(sigma, gamma_min)
+            return _ppt_closed_form(sigma, lam, gamma_min)
         if sigma.dims == (2, 2) and _marginals_maximally_mixed(sigma.matrix):
             return _bell_diagonal_closed_form(sigma, lam, vecs)
     return _search(sigma)
@@ -398,14 +398,26 @@ def _pure_closed_form(sigma: DensityOperator, psi) -> EntanglementResult:
     return EntanglementResult(_spectrum_entropy(p), closest, "pure")
 
 
-def _ppt_closed_form(sigma: DensityOperator, gamma_min: float) -> EntanglementResult:
-    """sigma is separable, or (1 - q) sigma + q I/d is, for the smallest such q."""
+def _ppt_closed_form(sigma: DensityOperator, lam, gamma_min: float) -> EntanglementResult:
+    """sigma is separable, or (1 - q) sigma + q I/d is, for the smallest such q.
+
+    The mixture shares the eigenbasis of sigma, so with sigma's spectrum
+    ``lam`` and the mixture's r = (1 - q) lam + q/d, the value
+    S(sigma||mixture) is sum_i [lam_i ln(lam_i/r_i) - lam_i + r_i], whose
+    added terms sum to 0.  Each term is r_i ((1 + x) log1p(x) - x) with
+    x = lam_i/r_i - 1, which is >= 0 and keeps its digits when lam_i is
+    near r_i; an eigenvalue at or below 0 counts as 0, with 0 ln 0 = 0.
+    """
     if gamma_min >= 0.0:
         return EntanglementResult(0.0, sigma, "ppt")
     d = sigma.dim
     q = -gamma_min * d / (1.0 - gamma_min * d)
     closest = DensityOperator((1.0 - q) * sigma.matrix + q * np.eye(d) / d, sigma.dims)
-    return EntanglementResult(quantum_relative_entropy(sigma, closest), closest, "ppt")
+    lam = np.clip(lam, 0.0, None)
+    r = (1.0 - q) * lam + q / d
+    x = lam / r - 1.0
+    log_ratio = np.log1p(x, out=np.zeros_like(x), where=lam > 0.0)
+    return EntanglementResult(float((r * ((1.0 + x) * log_ratio - x)).sum()), closest, "ppt")
 
 
 def _marginals_maximally_mixed(matrix) -> bool:

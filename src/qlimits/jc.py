@@ -401,6 +401,10 @@ def population_lower(
 # dephasing form K, and every block has the eigenbasis vec(|u_i><u_j|) of
 # the eigenvectors u of X.  These three 4x4 forms are built once, on first
 # use; each call still checks that every L_n is diagonal in them.
+#
+# The propagated states are block-diagonal in the same doublets, so they
+# are checked by their 2x2 doublet blocks, with the tolerances of a
+# DensityOperator, and each dense matrix is written once, after the check.
 
 # Time points x doublets per block of oracle_population_lower; a block's
 # arrays take about 100 bytes per cell, so about 6 MB in all.
@@ -484,16 +488,14 @@ def dephasing_oracle_trajectory(
 ) -> list[DensityOperator]:
     """Propagated states at each grid time (dimensionless g*t grid).
 
-    The states are checked together, with the tolerances of one
-    ``DensityOperator`` each, so every one is Hermitian, unit-trace
-    and positive.
+    The states are checked together by their doublet blocks, with the
+    tolerances of one ``DensityOperator`` each, so every one is
+    Hermitian, unit-trace and positive.
     """
     blocks, n_levels = _oracle_blocks(dist, params, model, t_grid)
     n = np.arange(blocks.shape[1])
-    basis = np.stack([n + 1, n_levels + n], axis=1)
-    rho = np.zeros((len(blocks), 2 * n_levels, 2 * n_levels), dtype=complex)
-    rho[:, basis[:, :, None], basis[:, None, :]] = blocks
-    return DensityOperator.stack(rho, (2, n_levels))
+    rows = np.stack([n + 1, n_levels + n], axis=1)
+    return DensityOperator.stack(blocks, rows, (2, n_levels))
 
 
 def oracle_population_lower(

@@ -115,20 +115,57 @@ def _first_error(matrices, dims, eig_tol=1e-10):
     return None
 
 
+def _dense(blocks, rows, d):
+    """The (d, d) matrix that is zero but for ``blocks`` on ``rows``."""
+    m = np.zeros((d, d), dtype=complex)
+    for block, idx in zip(blocks, rows):
+        m[np.ix_(idx, idx)] = block
+    return m
+
+
+# two qubit-sized blocks of a qutrit-qubit space, out of order and leaving
+# rows 2 and 5 uncovered
+TWO_BLOCK_ROWS = np.array([[3, 0], [4, 1]])
+
+
+def _bad_half_block(kind, x=0.3):
+    """``_bad_qubit_matrix`` with its finite entries halved, a block of trace 1/2 when valid."""
+    m = _bad_qubit_matrix(kind, x)
+    m[np.isfinite(m)] /= 2
+    return m
+
+
+def _two_block_stack(rng, n):
+    """(n, 2, 2, 2) blocks of valid states on TWO_BLOCK_ROWS, each block of trace 1/2."""
+    return np.array([[random_density_operator(rng, (2,)).matrix / 2 for _ in range(2)] for _ in range(n)])
+
+
 class TestDensityOperatorStack:
     def test_states_match_single_construction(self):
         rng = np.random.default_rng(41)
         mats = np.stack([random_density_operator(rng, (2, 3)).matrix for _ in range(7)])
-        states = DensityOperator.stack(mats, [2, 3])
+        states = DensityOperator.stack(mats[:, np.newaxis], None, [2, 3])
         assert len(states) == 7
         for state, m in zip(states, mats):
             single = DensityOperator(m, (2, 3))
             assert np.array_equal(state.matrix, single.matrix)
             assert (state.dims, state.eig_tol) == (single.dims, single.eig_tol) == ((2, 3), 1e-10)
 
+    def test_blocks_match_single_construction(self):
+        rng = np.random.default_rng(47)
+        blocks = _two_block_stack(rng, 9)
+        states = DensityOperator.stack(blocks, TWO_BLOCK_ROWS, (3, 2))
+        for state, blk in zip(states, blocks):
+            single = DensityOperator(_dense(blk, TWO_BLOCK_ROWS, 6), (3, 2))
+            assert np.array_equal(state.matrix, single.matrix)
+            assert (state.dims, state.eig_tol) == (single.dims, single.eig_tol)
+        # the rows no block covers are zero, and their eigenvalue 0 passes
+        assert not states[0].matrix[[2, 5]].any() and not states[0].matrix[:, [2, 5]].any()
+
     def test_matrices_are_a_read_only_copy(self):
         mats = np.stack([np.eye(2) / 2, np.diag([1.0, 0.0])]).astype(complex)
-        states = DensityOperator.stack(mats, (2,))
+        blocks = mats[:, np.newaxis]
+        states = DensityOperator.stack(blocks, None, (2,))
         mats[0, 0, 0] = 7.0
         assert states[0].matrix[0, 0] == 0.5
         for state in states:
@@ -136,13 +173,25 @@ class TestDensityOperatorStack:
             with pytest.raises(ValueError):
                 state.matrix[0, 0] = 0.0
 
+    def test_states_share_one_array_apart_from_the_blocks(self):
+        rng = np.random.default_rng(53)
+        blocks = _two_block_stack(rng, 4)
+        expected = [_dense(blk, TWO_BLOCK_ROWS, 6) for blk in blocks]
+        states = DensityOperator.stack(blocks, TWO_BLOCK_ROWS, (3, 2))
+        shared = states[0].matrix.base
+        assert shared is not None and not shared.flags.writeable
+        assert all(state.matrix.base is shared for state in states)
+        assert not np.shares_memory(shared, blocks)
+        blocks[:] = 7.0
+        assert all(np.array_equal(state.matrix, m) for state, m in zip(states, expected))
+
     def test_eig_tol_is_passed_through(self):
         m = np.diag([1.0 + 5e-9, -5e-9]).astype(complex)
         m /= np.trace(m).real
-        mats = np.stack([np.eye(2) / 2, m])
+        mats = np.stack([np.eye(2) / 2, m])[:, np.newaxis]
         with pytest.raises(ValueError, match="negative eigenvalue"):
-            DensityOperator.stack(mats, (2,))
-        states = DensityOperator.stack(mats, (2,), eig_tol=1e-8)
+            DensityOperator.stack(mats, None, (2,))
+        states = DensityOperator.stack(mats, None, (2,), eig_tol=1e-8)
         assert [s.eig_tol for s in states] == [1e-8, 1e-8]
 
     def test_shape_error_matches_single_constructor(self):
@@ -150,8 +199,27 @@ class TestDensityOperatorStack:
         with pytest.raises(ValueError) as single:
             DensityOperator(mats[0], (2,))
         with pytest.raises(ValueError) as stacked:
-            DensityOperator.stack(mats, (2,))
+            DensityOperator.stack(mats[:, np.newaxis], None, (2,))
         assert str(stacked.value) == str(single.value)
+
+    @pytest.mark.parametrize("rows, match", [
+        ([[0, 1], [1, 2]], "overlap"),
+        ([[0, 1], [2, 2]], "overlap"),
+        ([[0, 1], [2, 6]], "range"),
+        ([[-1, 1], [2, 3]], "range"),
+        ([[0, 1]], "shape"),
+        ([[0.0, 1.0], [2.0, 3.0]], "integers"),
+    ])
+    def test_bad_rows_rejected(self, rows, match):
+        blocks = np.tile(np.eye(2, dtype=complex) / 4, (3, 2, 1, 1))
+        with pytest.raises(ValueError, match=match):
+            DensityOperator.stack(blocks, rows, (2, 3))
+
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (3, 1, 2, 3), (3, 0, 2, 2), (3, 2, 4, 4)])
+    def test_bad_block_shapes_rejected(self, shape):
+        # (3, 2, 4, 4): two blocks need their rows given
+        with pytest.raises(ValueError, match="stack"):
+            DensityOperator.stack(np.zeros(shape, dtype=complex), None, (4,))
 
     @pytest.mark.parametrize("kind", BAD_KINDS)
     def test_each_error_matches_single_constructor(self, kind):
@@ -161,18 +229,31 @@ class TestDensityOperatorStack:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(expected[0]) as stacked:
-                DensityOperator.stack(np.stack(stack), (2,))
+                DensityOperator.stack(np.stack(stack)[:, np.newaxis], None, (2,))
         assert str(stacked.value) == expected[1]
 
-    @pytest.mark.parametrize("block_entries", [4, 8, None])
-    def test_first_invalid_matrix_decides_the_error(self, monkeypatch, block_entries):
-        # in every order and across block boundaries (4 entries: one qubit
-        # matrix per block; None: the default, one block), the error is the
+    @pytest.mark.parametrize("kind", BAD_KINDS)
+    @pytest.mark.parametrize("block", [0, 1])
+    def test_each_error_in_one_block_matches_dense(self, kind, block):
+        # the fault sits in one block of the third matrix
+        blocks = _two_block_stack(np.random.default_rng(59), 4)
+        blocks[2, block] = _bad_half_block(kind)
+        expected = _first_error([_dense(blk, TWO_BLOCK_ROWS, 6) for blk in blocks], (3, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(expected[0]) as stacked:
+                DensityOperator.stack(blocks, TWO_BLOCK_ROWS, (3, 2))
+        assert str(stacked.value) == expected[1]
+
+    @pytest.mark.parametrize("chunk_entries", [4, 8, None])
+    def test_first_invalid_matrix_decides_the_error(self, monkeypatch, chunk_entries):
+        # in every order and across chunk boundaries (4 entries: one qubit
+        # matrix per chunk; None: the default, one chunk), the error is the
         # one of the first bad matrix
         import qlimits.core as core_module
 
-        if block_entries:
-            monkeypatch.setattr(core_module, "_CHECK_BLOCK_ENTRIES", block_entries)
+        if chunk_entries:
+            monkeypatch.setattr(core_module, "_CHECK_CHUNK_ENTRIES", chunk_entries)
         rng = np.random.default_rng(43)
         for _ in range(60):
             stack = [random_density_operator(rng, (2,)).matrix for _ in range(5)]
@@ -182,7 +263,26 @@ class TestDensityOperatorStack:
                 stack[slot] = _bad_qubit_matrix(kind, float(rng.uniform(0.1, 0.4)))
             expected = _first_error(stack, (2,))
             with pytest.raises(expected[0]) as stacked:
-                DensityOperator.stack(np.stack(stack), (2,))
+                DensityOperator.stack(np.stack(stack)[:, np.newaxis], None, (2,))
+            assert str(stacked.value) == expected[1]
+
+    @pytest.mark.parametrize("chunk_entries", [8, 16, None])
+    def test_first_invalid_block_decides_the_error(self, monkeypatch, chunk_entries):
+        # as above, with the faults in single blocks of two-block matrices
+        # (8 entries: one matrix per chunk)
+        import qlimits.core as core_module
+
+        if chunk_entries:
+            monkeypatch.setattr(core_module, "_CHECK_CHUNK_ENTRIES", chunk_entries)
+        rng = np.random.default_rng(61)
+        for _ in range(60):
+            blocks = _two_block_stack(rng, 5)
+            for slot in rng.choice(5, size=int(rng.integers(1, 4)), replace=False):
+                kind = BAD_KINDS[int(rng.integers(len(BAD_KINDS)))]
+                blocks[slot, rng.integers(2)] = _bad_half_block(kind, float(rng.uniform(0.1, 0.4)))
+            expected = _first_error([_dense(blk, TWO_BLOCK_ROWS, 6) for blk in blocks], (3, 2))
+            with pytest.raises(expected[0]) as stacked:
+                DensityOperator.stack(blocks, TWO_BLOCK_ROWS, (3, 2))
             assert str(stacked.value) == expected[1]
 
 

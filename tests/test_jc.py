@@ -1,6 +1,8 @@
 """Tests for the damped Jaynes-Cummings module."""
 import functools
 import math
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.constants import hbar, k as k_B
 
+import qlimits
 from qlimits.core import DensityOperator, PureState
 from qlimits.jc import (
     MAX_LEVELS,
@@ -511,26 +514,49 @@ class TestDephasingOracle:
         lower = np.array([s.matrix.diagonal()[1:dist.n_max + 2].real for s in states])
         assert np.array_equal(oracle_population_lower(grid, dist, params, model), lower.sum(axis=1))
 
-    def test_states_match_single_construction(self):
-        # the same matrices, dims and eig_tol as states built one by one
-        # from each time's doublet blocks
-        for dist, model, grid in [
-            (VibrationalDistribution.fock(5), DI, np.linspace(0.0, 4.0, 40)),
-            (VibrationalDistribution.thermal(1.5), VI, np.linspace(0.0, 30.0, 7)),
-            (VibrationalDistribution.coherent(2.0), DI, [0.0]),
-        ]:
-            params = DecoherenceParams(0.12, 0.4)
-            states = dephasing_oracle_trajectory(dist, params, model, grid)
-            blocks, n_levels = _oracle_blocks(dist, params, model, grid)
-            assert len(states) == len(blocks)
-            for state, blk in zip(states, blocks):
-                rho = np.zeros((2 * n_levels, 2 * n_levels), dtype=complex)
-                for n, pair in enumerate(blk):
-                    idx = [n + 1, n_levels + n]
-                    rho[np.ix_(idx, idx)] = pair
-                single = DensityOperator(rho, (2, n_levels))
-                assert np.array_equal(state.matrix, single.matrix)
-                assert (state.dims, state.eig_tol) == (single.dims, single.eig_tol)
+    @pytest.mark.parametrize("spec, grid", [
+        *[(f"fock:{n}", np.linspace(0.0, 4.0, 40)) for n in (0, 1, 2, 3, 4, 5, 20)],
+        ("thermal:1.5", np.linspace(0.0, 30.0, 7)),
+        ("coherent:2.0", [0.0]),
+    ], ids=lambda x: x if isinstance(x, str) else f"{len(x)}pts")
+    @pytest.mark.parametrize("model", [DI, VI], ids=["di", "vi"])
+    def test_states_match_single_construction(self, spec, grid, model):
+        # the same matrices, dims and eig_tol, to the bit, as states built
+        # one by one from each time's doublet blocks assembled densely
+        dist = VibrationalDistribution.parse(spec)
+        params = DecoherenceParams(0.12, 0.4)
+        states = dephasing_oracle_trajectory(dist, params, model, grid)
+        blocks, n_levels = _oracle_blocks(dist, params, model, grid)
+        assert len(states) == len(blocks)
+        for state, blk in zip(states, blocks):
+            rho = np.zeros((2 * n_levels, 2 * n_levels), dtype=complex)
+            for n, pair in enumerate(blk):
+                idx = [n + 1, n_levels + n]
+                rho[np.ix_(idx, idx)] = pair
+            single = DensityOperator(rho, (2, n_levels))
+            assert np.array_equal(state.matrix, single.matrix)
+            assert (state.dims, state.eig_tol) == (single.dims, single.eig_tol)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+    def test_long_trajectory_holds_one_copy_of_its_states(self):
+        # 2000 states of dimension 46 take 67.7 MB; the child reads its own
+        # peak RSS, which was 163 MB while the stack held a second copy
+        script = (
+            "import numpy as np\n"
+            "from qlimits.jc import CouplingModel, DecoherenceParams, VibrationalDistribution,"
+            " dephasing_oracle_trajectory\n"
+            "states = dephasing_oracle_trajectory(VibrationalDistribution.fock(20),"
+            " DecoherenceParams(0.127, 0.4), CouplingModel.IMPERFECT_DIPOLE, np.linspace(0.0, 30.0, 2000))\n"
+            "assert len(states) == 2000 and states[0].dim == 46\n"
+            "with open('/proc/self/status') as status:\n"
+            "    print(next(int(line.split()[1]) for line in status if line.startswith('VmHWM:')))\n"
+        )
+        src = os.path.dirname(os.path.dirname(qlimits.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+                                capture_output=True, text=True, check=True)
+        kib = int(result.stdout)
+        assert kib < 130 * 1024, kib
 
     def test_noncommuting_dephasing_rejected(self, monkeypatch):
         # the propagator relies on D_n commuting with H; a D_n that does
