@@ -33,8 +33,6 @@ ENTROPY_EIGENVALUE_CUTOFF = 1e-12
 # Weight of sigma tolerated outside the support of rho before S(sigma||rho)
 # is declared infinite.
 SUPPORT_TOL = 1e-10
-# Matrix entries per chunk of a stack checked at once (256 KiB of complex).
-_CHECK_CHUNK_ENTRIES = 1 << 14
 
 
 class KindMismatchError(TypeError):
@@ -63,57 +61,53 @@ def _check_density_matrices(blocks: np.ndarray, rows: np.ndarray | None, dims: t
     ``blocks`` is the ``(n*K, b, b)`` stack of the matrices' diagonal
     blocks, K per matrix, and every other entry is 0: row j of a matrix's
     block k is basis row ``rows[k, j]``, and the rows are distinct and
-    within ``dims``.  ``rows=None`` stands for one block over every row in
-    order, a dense matrix.  A matrix's Hermiticity is then the largest
-    deviation over its blocks, its trace the sum of its diagonal in basis
-    order, and its spectrum that of its blocks, plus 0 for the rows no
-    block covers.
+    within ``dims``.  ``rows=None``, as the constructor passes it, stands
+    for one block over every row in order, a dense matrix.  A matrix's
+    Hermiticity is then the largest deviation over its blocks, its trace
+    the sum of its diagonal in basis order, and its spectrum that of its
+    blocks, plus 0 for the rows no block covers.  All matrices are
+    checked in one pass.
     """
     d = math.prod(dims)
     if rows is None and blocks.shape[1:] != (d, d):
         raise ValueError(f"matrix of shape {blocks.shape[1:]} does not match dims {dims}")
     k, b = (1, d) if rows is None else rows.shape
-    # whole matrices in chunks, so that the temporaries stay small next to
-    # a long stack
-    step = k * max(1, _CHECK_CHUNK_ENTRIES // (k * b * b))
-    chunks = [blocks] if len(blocks) <= step else [blocks[i:i + step] for i in range(0, len(blocks), step)]
-    for chunk in chunks:
-        with np.errstate(invalid="ignore"):  # inf - inf, reported below
-            herm = abs(chunk - chunk.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    with np.errstate(invalid="ignore"):  # inf - inf, reported below
+        herm = abs(blocks - blocks.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    if k > 1:
+        herm = herm.reshape(-1, k).max(axis=1)
+    herm = herm.tolist()
+    if rows is None:
+        tr = blocks.trace(axis1=1, axis2=2).tolist()
+    else:
+        # the diagonal summed in basis order, with the zeros between the
+        # blocks, as the trace of the dense matrix is
+        diag = np.zeros((len(herm), d), dtype=complex)
+        diag[:, rows.reshape(-1)] = blocks.diagonal(axis1=1, axis2=2).reshape(len(herm), -1)
+        tr = diag.sum(axis=1).tolist()
+    # the spectra are taken of the matrices before the first to fail here;
+    # a NaN or infinite entry makes its deviation NaN or infinite
+    n_ok = 0
+    for h, t in zip(herm, tr):
+        if not (h <= 1e-10 and abs(t - 1.0) <= 1e-10):
+            break
+        n_ok += 1
+    if n_ok:
+        lo = np.linalg.eigvalsh(blocks[:n_ok * k])[:, 0]
         if k > 1:
-            herm = herm.reshape(-1, k).max(axis=1)
-        herm = herm.tolist()
-        if rows is None:
-            tr = chunk.trace(axis1=1, axis2=2).tolist()
-        else:
-            # the diagonal summed in basis order, with the zeros between
-            # the blocks, as the trace of the dense matrix is
-            diag = np.zeros((len(herm), d), dtype=complex)
-            diag[:, rows.reshape(-1)] = chunk.diagonal(axis1=1, axis2=2).reshape(len(herm), -1)
-            tr = diag.sum(axis=1).tolist()
-        # the spectra are taken of the matrices before the first to fail
-        # here; a NaN or infinite entry makes its deviation NaN or infinite
-        n_ok = 0
-        for h, t in zip(herm, tr):
-            if not (h <= 1e-10 and abs(t - 1.0) <= 1e-10):
-                break
-            n_ok += 1
-        if n_ok:
-            lo = np.linalg.eigvalsh(chunk[:n_ok * k])[:, 0]
-            if k > 1:
-                lo = lo.reshape(n_ok, k).min(axis=1)
-            if k * b < d:  # the rows no block covers
-                lo = np.minimum(lo, 0.0)
-            lo = lo.tolist()
-            if min(lo) < -eig_tol:
-                negative = next(x for x in lo if x < -eig_tol)
-                raise ValueError(f"matrix has negative eigenvalue {negative:.3e}")
-        if n_ok < len(tr):
-            if not math.isfinite(herm[n_ok]):
-                raise ValueError("matrix has non-finite entries")
-            if not herm[n_ok] <= 1e-10:
-                raise ValueError(f"matrix is not Hermitian: max deviation {herm[n_ok]:.3e}")
-            raise ValueError(f"trace is {tr[n_ok]!r}, expected 1")
+            lo = lo.reshape(n_ok, k).min(axis=1)
+        if k * b < d:  # the rows no block covers
+            lo = np.minimum(lo, 0.0)
+        lo = lo.tolist()
+        if min(lo) < -eig_tol:
+            negative = next(x for x in lo if x < -eig_tol)
+            raise ValueError(f"matrix has negative eigenvalue {negative:.3e}")
+    if n_ok < len(tr):
+        if not math.isfinite(herm[n_ok]):
+            raise ValueError("matrix has non-finite entries")
+        if not herm[n_ok] <= 1e-10:
+            raise ValueError(f"matrix is not Hermitian: max deviation {herm[n_ok]:.3e}")
+        raise ValueError(f"trace is {tr[n_ok]!r}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -182,35 +176,29 @@ class DensityOperator:
         ``blocks`` is an ``(n, K, b, b)`` array: matrix i is zero but for
         the block ``blocks[i, k]`` on the basis rows ``rows[k]``.  ``rows``
         is a ``(K, b)`` array of distinct indices into the space of
-        ``dims``, or ``None`` for one block over the whole space (a dense
-        ``(n, 1, d, d)`` stack).  The checks and tolerances are those of the
-        constructor, each run over many blocks at once (one ``eigvalsh``
-        call per chunk of up to 256 KiB); an invalid stack raises the error
-        that building its dense matrices one by one, in order, would raise
-        first.  Each dense matrix is written once, into one read-only array
-        that the states share and that does not alias ``blocks``.
+        ``dims``; ``np.arange(d)[np.newaxis]`` makes one block of the whole
+        space, a dense ``(n, 1, d, d)`` stack.  The checks and tolerances
+        are those of the constructor, run over every block at once (one
+        ``eigvalsh`` call); an invalid stack raises the error that building
+        its dense matrices one by one, in order, would raise first.  Each
+        dense matrix is written once, into one read-only array that the
+        states share and that does not alias ``blocks``.
         """
         dims = _as_dims(dims)
         d = math.prod(dims)
         blocks = np.asarray(blocks, dtype=complex)
-        if (blocks.ndim != 4 or 0 in blocks.shape[1:] or blocks.shape[2] != blocks.shape[3]
-                or (rows is None and blocks.shape[1] != 1)):
-            raise ValueError(f"blocks of shape {blocks.shape} are not an (n, K, b, b) stack "
-                             "(K = 1 when rows is None)")
-        if rows is not None:
-            rows = np.asarray(rows)
-            if rows.shape != blocks.shape[1:3] or rows.dtype.kind not in "iu":
-                raise ValueError(f"rows must be integers of shape {blocks.shape[1:3]}")
-            if rows.min() < 0 or rows.max() >= d:
-                raise ValueError(f"block rows must lie in range({d}) for dims {dims}")
-            if np.bincount(rows.reshape(-1)).max() > 1:
-                raise ValueError("blocks overlap: a basis row is in more than one block")
+        if blocks.ndim != 4 or 0 in blocks.shape[1:] or blocks.shape[2] != blocks.shape[3]:
+            raise ValueError(f"blocks of shape {blocks.shape} are not an (n, K, b, b) stack")
+        rows = np.asarray(rows)
+        if rows.shape != blocks.shape[1:3] or rows.dtype.kind not in "iu":
+            raise ValueError(f"rows must be integers of shape {blocks.shape[1:3]}")
+        if rows.min() < 0 or rows.max() >= d:
+            raise ValueError(f"block rows must lie in range({d}) for dims {dims}")
+        if np.bincount(rows.reshape(-1)).max() > 1:
+            raise ValueError("blocks overlap: a basis row is in more than one block")
         _check_density_matrices(blocks.reshape(-1, *blocks.shape[2:]), rows, dims, eig_tol)
         mats = np.zeros((len(blocks), d, d), dtype=complex)
-        if rows is None:
-            mats[:] = blocks[:, 0]
-        else:
-            mats[:, rows[:, :, np.newaxis], rows[:, np.newaxis, :]] = blocks
+        mats[:, rows[:, :, np.newaxis], rows[:, np.newaxis, :]] = blocks
         mats.setflags(write=False)
         eig_tol = float(eig_tol)
         states = []

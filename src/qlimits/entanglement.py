@@ -7,11 +7,11 @@ Each solve goes to the cheapest exact route that applies:
   entropy of its Schmidt weights, attained at sum_i p_i |ii><ii| in the
   Schmidt basis (Vedral & Plenio, PRA 57, 1619 (1998));
 * in 2x2 and 2x3 a state whose partial transpose has no eigenvalue
-  below -1e-12 is treated as PPT, and PPT states there are separable
-  (Horodecki, Horodecki & Horodecki, PLA 223, 1 (1996)).  The closest
-  state is sigma itself, or, when the partial transpose dips below 0 by
-  eps, (1 - q) sigma + q I/d with the smallest q that makes it PPT; the
-  value is then at most ln(1 + d eps);
+  below -eig_tol, sigma's own state floor, is PPT, and PPT states there
+  are separable (Horodecki, Horodecki & Horodecki, PLA 223, 1 (1996)).
+  The closest state is sigma itself, or, when the partial transpose
+  dips below 0 by eps, (1 - q) sigma + q I/d with the smallest q that
+  makes it PPT; the value is then at most ln(1 + d eps);
 * an NPT two-qubit state whose marginals are both within 1e-12 of I/2
   is Bell-diagonal up to local unitaries (R. & M. Horodecki, PRA 54,
   1838 (1996)), and E = ln 2 + F ln F + (1 - F) ln(1 - F) for its top
@@ -89,11 +89,10 @@ _DIRECTION_EVERY = 4
 _TRIALS = 30
 
 # Closed-form routes: a spectrum within _PURE_TOL of 1 counts as pure, a
-# partial transpose no lower than -_PPT_TOL as positive; the PPT test
+# partial transpose no lower than -sigma.eig_tol as positive; the PPT test
 # certifies separability only up to total dimension _PPT_MAX_DIM.  A
 # two-qubit marginal within _MARGINAL_TOL of I/2 counts as maximally mixed.
 _PURE_TOL = 1e-12
-_PPT_TOL = 1e-12
 _PPT_MAX_DIM = 6
 _MARGINAL_TOL = 1e-12
 _CLOSED_FORMS = ("pure", "ppt", "bell_diagonal")
@@ -354,9 +353,9 @@ def relative_entropy_of_entanglement(sigma: DensityOperator) -> EntanglementResu
     Pure inputs (top eigenvalue within 1e-12 of 1) return the entropy
     of the Schmidt weights; inputs with a factor of dimension 1 return 0
     with stop reason "ppt", and the input as the closest state; PPT
-    inputs in 2x2 and 2x3 (partial-transpose spectrum >= -1e-12) return
-    S(sigma || rho') for the nearest PPT mixture rho' of sigma and white
-    noise, which is exactly 0 when the partial transpose is positive;
+    inputs in 2x2 and 2x3 (partial-transpose spectrum >= -sigma.eig_tol)
+    return S(sigma || rho') for the nearest PPT mixture rho' of sigma and
+    white noise, which is exactly 0 when the partial transpose is positive;
     NPT 2x2 inputs with maximally mixed marginals return the
     Bell-diagonal closed form.  These report no restarts and no
     iterations.  Every other input runs one deterministic descent.
@@ -374,7 +373,7 @@ def relative_entropy_of_entanglement(sigma: DensityOperator) -> EntanglementResu
         d_a, d_b = sigma.dims
         gamma = sigma.matrix.reshape(d_a, d_b, d_a, d_b).transpose(0, 3, 2, 1).reshape(sigma.dim, -1)
         gamma_min = float(np.linalg.eigvalsh(gamma)[0])
-        if gamma_min >= -_PPT_TOL:
+        if gamma_min >= -sigma.eig_tol:
             return _ppt_closed_form(sigma, lam, gamma_min)
         if sigma.dims == (2, 2) and _marginals_maximally_mixed(sigma.matrix):
             return _bell_diagonal_closed_form(sigma, lam, vecs)
@@ -412,7 +411,7 @@ def _ppt_closed_form(sigma: DensityOperator, lam, gamma_min: float) -> Entanglem
         return EntanglementResult(0.0, sigma, "ppt")
     d = sigma.dim
     q = -gamma_min * d / (1.0 - gamma_min * d)
-    closest = DensityOperator((1.0 - q) * sigma.matrix + q * np.eye(d) / d, sigma.dims)
+    closest = DensityOperator((1.0 - q) * sigma.matrix + q * np.eye(d) / d, sigma.dims, sigma.eig_tol)
     lam = np.clip(lam, 0.0, None)
     r = (1.0 - q) * lam + q / d
     x = lam / r - 1.0

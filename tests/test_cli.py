@@ -850,6 +850,21 @@ class TestExchange:
         assert result.exit_code == 3
 
 
+# the fifth state (index 4) of the seed-17 2x2 sweep in
+# test_entanglement.py::TestClosedForms::test_separable_states_at_the_state_floor:
+# separable up to rounding, with a partial transpose 2.65e-11 below 0
+FLOOR_STATE_2X2 = [
+    [[0.12716210959551572, -6.938893903907228e-18], [-0.14691918476431506, 0.18216075166336806],
+     [0.013465359796709616, -0.048986527231762236], [0.0512305973195938, 0.07118270331395216]],
+    [[-0.14691918476431506, -0.1821607516633681], [0.4929385390404294, 2.7755575615628914e-17],
+     [-0.08041677353591166, 0.034995626682178545], [0.04979695033296404, -0.18115963482390854]],
+    [[0.01346535979670962, 0.04898652723176224], [-0.08041677353591165, -0.03499562668217855],
+     [0.0760353504646357, 0.0], [-0.09151054274170337, 0.11346121527758649]],
+    [[0.051230597319593806, -0.07118270331395216], [0.049796950332964045, 0.18115963482390854],
+     [-0.09151054274170337, -0.11346121527758649], [0.30386400085037124, -1.3877787807814457e-17]],
+]
+
+
 class TestRee:
     def test_bell_value(self, runner, tmp_path):
         state = tmp_path / "bell.json"
@@ -881,8 +896,8 @@ class TestRee:
         assert json.loads(result.output)["value_nats"] == 0.0
 
     def test_product_space_prints_zero(self, runner, tmp_path):
-        # an eigenvalue of -2e-12 is a state but fails the PPT test; this
-        # printed "value_nats": -4.80000483793e-11 before
+        # an eigenvalue of -2e-12 is a state; this printed "value_nats":
+        # -4.80000483793e-11 when such a state could reach the search
         state = tmp_path / "product.json"
         state.write_text('{"matrix": [[[0.999999999952, 0], [0, 0]], [[0, 0], [-2e-12, 0]]], "dims": [1, 2]}')
         result = invoke(runner, "ree", str(state))
@@ -890,6 +905,22 @@ class TestRee:
         data = json.loads(result.output)
         assert (data["value_nats"], data["restarts"]) == (0.0, 0)
         assert result.output.endswith('"value_nats": 0.0\n}\n')
+
+    def test_separable_state_at_the_floor_prints_no_negative_value(self, runner, tmp_path):
+        # its partial transpose dips below 0 by less than the state floor
+        # 1e-10, so it takes the "ppt" route; when the PPT test had its own
+        # floor of -1e-12, the search printed "value_nats": -2.25572893697e-11
+        # with "restarts": 1
+        gamma = np.array([[complex(*z) for z in row] for row in FLOOR_STATE_2X2])
+        gamma = gamma.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+        assert -1e-10 <= np.linalg.eigvalsh(gamma)[0] < -1e-12
+        state = tmp_path / "floor.json"
+        state.write_text(json.dumps({"matrix": FLOOR_STATE_2X2, "dims": [2, 2]}))
+        result = invoke(runner, "ree", str(state))
+        assert result.exit_code == 0
+        data = json.loads(result.output)
+        assert (data["restarts"], data["converged"]) == (0, True)
+        assert 0.0 <= data["value_nats"] <= math.log(1.0 + 4e-10)
 
     @pytest.mark.parametrize("dims", [[2, 2], [2, 3], [3, 3], [4, 4]])
     def test_random_product_pure_state_prints_zero(self, runner, tmp_path, dims):

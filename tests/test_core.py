@@ -144,7 +144,7 @@ class TestDensityOperatorStack:
     def test_states_match_single_construction(self):
         rng = np.random.default_rng(41)
         mats = np.stack([random_density_operator(rng, (2, 3)).matrix for _ in range(7)])
-        states = DensityOperator.stack(mats[:, np.newaxis], None, [2, 3])
+        states = DensityOperator.stack(mats[:, np.newaxis], np.arange(6)[np.newaxis], [2, 3])
         assert len(states) == 7
         for state, m in zip(states, mats):
             single = DensityOperator(m, (2, 3))
@@ -165,7 +165,7 @@ class TestDensityOperatorStack:
     def test_matrices_are_a_read_only_copy(self):
         mats = np.stack([np.eye(2) / 2, np.diag([1.0, 0.0])]).astype(complex)
         blocks = mats[:, np.newaxis]
-        states = DensityOperator.stack(blocks, None, (2,))
+        states = DensityOperator.stack(blocks, np.arange(2)[np.newaxis], (2,))
         mats[0, 0, 0] = 7.0
         assert states[0].matrix[0, 0] == 0.5
         for state in states:
@@ -189,18 +189,22 @@ class TestDensityOperatorStack:
         m = np.diag([1.0 + 5e-9, -5e-9]).astype(complex)
         m /= np.trace(m).real
         mats = np.stack([np.eye(2) / 2, m])[:, np.newaxis]
+        rows = np.arange(2)[np.newaxis]
         with pytest.raises(ValueError, match="negative eigenvalue"):
-            DensityOperator.stack(mats, None, (2,))
-        states = DensityOperator.stack(mats, None, (2,), eig_tol=1e-8)
+            DensityOperator.stack(mats, rows, (2,))
+        states = DensityOperator.stack(mats, rows, (2,), eig_tol=1e-8)
         assert [s.eig_tol for s in states] == [1e-8, 1e-8]
 
-    def test_shape_error_matches_single_constructor(self):
-        mats = np.stack([np.eye(3) / 3] * 2)
-        with pytest.raises(ValueError) as single:
-            DensityOperator(mats[0], (2,))
-        with pytest.raises(ValueError) as stacked:
-            DensityOperator.stack(mats[:, np.newaxis], None, (2,))
-        assert str(stacked.value) == str(single.value)
+    def test_matrix_larger_than_dims_rejected_by_its_rows(self):
+        # the constructor rejects a qutrit matrix on dims (2,) for its shape;
+        # a stack rejects it for rows that cannot cover it within the space
+        mats = np.stack([np.eye(3) / 3] * 2)[:, np.newaxis]
+        with pytest.raises(ValueError, match="does not match dims"):
+            DensityOperator(mats[0, 0], (2,))
+        with pytest.raises(ValueError, match=r"rows must be integers of shape \(1, 3\)"):
+            DensityOperator.stack(mats, np.arange(2)[np.newaxis], (2,))
+        with pytest.raises(ValueError, match=r"range\(2\)"):
+            DensityOperator.stack(mats, np.arange(3)[np.newaxis], (2,))
 
     @pytest.mark.parametrize("rows, match", [
         ([[0, 1], [1, 2]], "overlap"),
@@ -209,17 +213,26 @@ class TestDensityOperatorStack:
         ([[-1, 1], [2, 3]], "range"),
         ([[0, 1]], "shape"),
         ([[0.0, 1.0], [2.0, 3.0]], "integers"),
+        # the rows are always given: a dense stack is rows=np.arange(d)[np.newaxis]
+        (None, "integers"),
     ])
     def test_bad_rows_rejected(self, rows, match):
         blocks = np.tile(np.eye(2, dtype=complex) / 4, (3, 2, 1, 1))
         with pytest.raises(ValueError, match=match):
             DensityOperator.stack(blocks, rows, (2, 3))
 
-    @pytest.mark.parametrize("shape", [(3, 2, 2), (3, 1, 2, 3), (3, 0, 2, 2), (3, 2, 4, 4)])
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (3, 1, 2, 3), (3, 0, 2, 2)])
     def test_bad_block_shapes_rejected(self, shape):
-        # (3, 2, 4, 4): two blocks need their rows given
         with pytest.raises(ValueError, match="stack"):
-            DensityOperator.stack(np.zeros(shape, dtype=complex), None, (4,))
+            DensityOperator.stack(np.zeros(shape, dtype=complex), np.arange(4)[np.newaxis], (4,))
+
+    def test_two_blocks_of_the_whole_space_rejected(self):
+        # two (4, 4) blocks need two rows of 4, and a space of 4 has room for one
+        blocks = np.tile(np.eye(4, dtype=complex) / 8, (3, 2, 1, 1))
+        with pytest.raises(ValueError, match=r"rows must be integers of shape \(2, 4\)"):
+            DensityOperator.stack(blocks, np.arange(4)[np.newaxis], (4,))
+        with pytest.raises(ValueError, match="overlap"):
+            DensityOperator.stack(blocks, np.tile(np.arange(4), (2, 1)), (4,))
 
     @pytest.mark.parametrize("kind", BAD_KINDS)
     def test_each_error_matches_single_constructor(self, kind):
@@ -229,7 +242,7 @@ class TestDensityOperatorStack:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(expected[0]) as stacked:
-                DensityOperator.stack(np.stack(stack)[:, np.newaxis], None, (2,))
+                DensityOperator.stack(np.stack(stack)[:, np.newaxis], np.arange(2)[np.newaxis], (2,))
         assert str(stacked.value) == expected[1]
 
     @pytest.mark.parametrize("kind", BAD_KINDS)
@@ -245,15 +258,8 @@ class TestDensityOperatorStack:
                 DensityOperator.stack(blocks, TWO_BLOCK_ROWS, (3, 2))
         assert str(stacked.value) == expected[1]
 
-    @pytest.mark.parametrize("chunk_entries", [4, 8, None])
-    def test_first_invalid_matrix_decides_the_error(self, monkeypatch, chunk_entries):
-        # in every order and across chunk boundaries (4 entries: one qubit
-        # matrix per chunk; None: the default, one chunk), the error is the
-        # one of the first bad matrix
-        import qlimits.core as core_module
-
-        if chunk_entries:
-            monkeypatch.setattr(core_module, "_CHECK_CHUNK_ENTRIES", chunk_entries)
+    def test_first_invalid_matrix_decides_the_error(self):
+        # in every order, the error is the one of the first bad matrix
         rng = np.random.default_rng(43)
         for _ in range(60):
             stack = [random_density_operator(rng, (2,)).matrix for _ in range(5)]
@@ -263,17 +269,11 @@ class TestDensityOperatorStack:
                 stack[slot] = _bad_qubit_matrix(kind, float(rng.uniform(0.1, 0.4)))
             expected = _first_error(stack, (2,))
             with pytest.raises(expected[0]) as stacked:
-                DensityOperator.stack(np.stack(stack)[:, np.newaxis], None, (2,))
+                DensityOperator.stack(np.stack(stack)[:, np.newaxis], np.arange(2)[np.newaxis], (2,))
             assert str(stacked.value) == expected[1]
 
-    @pytest.mark.parametrize("chunk_entries", [8, 16, None])
-    def test_first_invalid_block_decides_the_error(self, monkeypatch, chunk_entries):
+    def test_first_invalid_block_decides_the_error(self):
         # as above, with the faults in single blocks of two-block matrices
-        # (8 entries: one matrix per chunk)
-        import qlimits.core as core_module
-
-        if chunk_entries:
-            monkeypatch.setattr(core_module, "_CHECK_CHUNK_ENTRIES", chunk_entries)
         rng = np.random.default_rng(61)
         for _ in range(60):
             blocks = _two_block_stack(rng, 5)

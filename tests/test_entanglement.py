@@ -298,8 +298,8 @@ class TestClosedForms:
             assert result.value == 0.0 and math.copysign(1.0, result.value) == 1.0
 
     def test_product_space_input_is_exactly_zero(self):
-        # passes DensityOperator (eigenvalue floor -1e-10) but not the PPT
-        # test (floor -1e-12); the search read -4.8e-11 on it
+        # passes DensityOperator (eigenvalue floor -1e-10); when the PPT test
+        # had its own floor of -1e-12, the search read -4.8e-11 on it
         sigma = DensityOperator(np.diag([0.999999999952, -2e-12]), (1, 2))
         result = relative_entropy_of_entanglement(sigma)
         assert (result.value, result.stop_reason, result.restarts_used) == (0.0, "ppt", 0)
@@ -345,16 +345,14 @@ class TestClosedForms:
         assert result.value > 1e-6
         assert result.value == pytest.approx(quantum_relative_entropy(sigma, result.closest_state), abs=1e-13)
 
-    @pytest.mark.parametrize("dims", [
-        pytest.param((1, 2), id="1x2"), pytest.param((2, 1), id="2x1"), pytest.param((1, 4), id="1x4"),
-        pytest.param((2, 2), id="2x2", marks=pytest.mark.xfail(
-            strict=True, reason="the search reads a trace short of 1 as a value below 0 (ROADMAP item 8)")),
-    ])
+    @pytest.mark.parametrize("dims", [(1, 2), (2, 1), (1, 4), (2, 2)], ids=["1x2", "2x1", "1x4", "2x2"])
     def test_separable_states_at_the_state_floor(self, dims):
         # product-basis spectra with one eigenvalue in [-1e-10, 0) and a
         # trace short of 1 by up to 9e-11, both within DensityOperator's
         # tolerances, under random local unitaries: separable states up to
-        # rounding, whose value must not read below 0
+        # rounding, whose value must not read below 0.  In 2x2 their partial
+        # transposes dip as far as the spectrum does; the PPT test at -1e-12
+        # sent 16 of these 50 to the search, which read 11 of them below 0
         rng = np.random.default_rng(17)
         d = dims[0] * dims[1]
         values = []
@@ -365,6 +363,32 @@ class TestClosedForms:
             u = np.kron(random_unitary(rng, dims[0]), random_unitary(rng, dims[1]))
             values.append(relative_entropy_of_entanglement(DensityOperator((u * lam) @ u.conj().T, dims)).value)
         assert min(values) >= 0.0, min(values)
+
+    def test_ppt_mixture_keeps_the_input_floor(self):
+        # sigma is held to eig_tol = 1e-9 and has an eigenvalue -5e-10; the
+        # mixture, built with the default floor of 1e-10, was rejected
+        weights = (0.5 + 1e-13, 0.3, 0.2 - 1e-13 + 5e-10, -5e-10)
+        sigma = DensityOperator((BELL_BASIS.T * np.asarray(weights)) @ BELL_BASIS, (2, 2), eig_tol=1e-9)
+        assert -1e-12 < partial_transpose_min(sigma) < 0.0
+        result = relative_entropy_of_entanglement(sigma)
+        assert result.stop_reason == "ppt"
+        assert result.closest_state.eig_tol == 1e-9
+        assert 0.0 < result.value <= math.log(1.0 + 4e-13)
+        assert partial_transpose_min(result.closest_state) >= -1e-15
+
+    def test_ppt_floor_is_the_state_floor(self):
+        # Werner states whose partial transpose dips up to eig_tol below 0
+        # are on the "ppt" route, with a value within ln(1 + d eig_tol)
+        for eig_tol in (1e-10, 1e-9):
+            for eps in (2e-12, 0.5 * eig_tol, 0.99 * eig_tol):
+                sigma = DensityOperator(werner_fidelity(0.5 + eps).matrix, (2, 2), eig_tol=eig_tol)
+                assert -eig_tol <= partial_transpose_min(sigma) < -1e-12
+                result = relative_entropy_of_entanglement(sigma)
+                assert result.stop_reason == "ppt"
+                assert 0.0 <= result.value <= math.log(1.0 + 4 * eig_tol)
+        # just past the floor, the Bell-diagonal closed form takes over
+        result = relative_entropy_of_entanglement(werner_fidelity(0.5 + 2e-10))
+        assert result.stop_reason == "bell_diagonal"
 
     def test_werner_boundary_is_zero(self):
         result = relative_entropy_of_entanglement(werner_fidelity(0.5))
