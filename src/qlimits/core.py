@@ -52,39 +52,25 @@ def _frozen_array(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _check_density_matrices(blocks: np.ndarray, rows: np.ndarray | None, dims: tuple[int, ...],
-                            eig_tol: float) -> None:
+def _check_density_matrices(mats: np.ndarray, blocks: np.ndarray, eig_tol: float) -> None:
     """Raise the ValueError that the first invalid matrix of a stack would
-    raise on its own; the checks of each matrix run in the order shape,
-    finite entries, Hermiticity, trace, spectrum.
+    raise on its own; the checks of each matrix run in the order finite
+    entries, Hermiticity, trace, spectrum.
 
-    ``blocks`` is the ``(n*K, b, b)`` stack of the matrices' diagonal
-    blocks, K per matrix, and every other entry is 0: row j of a matrix's
-    block k is basis row ``rows[k, j]``, and the rows are distinct and
-    within ``dims``.  ``rows=None``, as the constructor passes it, stands
-    for one block over every row in order, a dense matrix.  A matrix's
-    Hermiticity is then the largest deviation over its blocks, its trace
-    the sum of its diagonal in basis order, and its spectrum that of its
-    blocks, plus 0 for the rows no block covers.  All matrices are
-    checked in one pass.
+    ``mats`` is an ``(n, d, d)`` stack of dense matrices and ``blocks`` the
+    ``(n, K, b, b)`` stack of their diagonal blocks; every entry of a
+    matrix outside its blocks is 0.  A matrix's Hermiticity is the largest
+    deviation over its blocks, its trace that of its dense matrix, and its
+    spectrum that of its blocks, plus 0 for the rows no block covers.  All
+    matrices are checked in one pass.
     """
-    d = math.prod(dims)
-    if rows is None and blocks.shape[1:] != (d, d):
-        raise ValueError(f"matrix of shape {blocks.shape[1:]} does not match dims {dims}")
-    k, b = (1, d) if rows is None else rows.shape
-    with np.errstate(invalid="ignore"):  # inf - inf, reported below
-        herm = abs(blocks - blocks.conj().swapaxes(1, 2)).max(axis=(1, 2))
-    if k > 1:
-        herm = herm.reshape(-1, k).max(axis=1)
-    herm = herm.tolist()
-    if rows is None:
-        tr = blocks.trace(axis1=1, axis2=2).tolist()
-    else:
-        # the diagonal summed in basis order, with the zeros between the
-        # blocks, as the trace of the dense matrix is
-        diag = np.zeros((len(herm), d), dtype=complex)
-        diag[:, rows.reshape(-1)] = blocks.diagonal(axis1=1, axis2=2).reshape(len(herm), -1)
-        tr = diag.sum(axis=1).tolist()
+    n, d = mats.shape[:2]
+    k, b = blocks.shape[1:3]
+    # a deviation or trace past the float range is inf, and inf - inf NaN:
+    # both are reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm = abs(blocks - blocks.conj().swapaxes(2, 3)).max(axis=(1, 2, 3)).tolist()
+        tr = mats.trace(axis1=1, axis2=2).tolist()
     # the spectra are taken of the matrices before the first to fail here;
     # a NaN or infinite entry makes its deviation NaN or infinite
     n_ok = 0
@@ -93,17 +79,16 @@ def _check_density_matrices(blocks: np.ndarray, rows: np.ndarray | None, dims: t
             break
         n_ok += 1
     if n_ok:
-        lo = np.linalg.eigvalsh(blocks[:n_ok * k])[:, 0]
-        if k > 1:
-            lo = lo.reshape(n_ok, k).min(axis=1)
+        lo = np.linalg.eigvalsh(blocks[:n_ok])[:, :, 0]
+        lo = lo.min(axis=1) if k > 1 else lo[:, 0]
         if k * b < d:  # the rows no block covers
             lo = np.minimum(lo, 0.0)
         lo = lo.tolist()
         if min(lo) < -eig_tol:
             negative = next(x for x in lo if x < -eig_tol)
             raise ValueError(f"matrix has negative eigenvalue {negative:.3e}")
-    if n_ok < len(tr):
-        if not math.isfinite(herm[n_ok]):
+    if n_ok < n:
+        if not np.isfinite(mats[n_ok]).all():
             raise ValueError("matrix has non-finite entries")
         if not herm[n_ok] <= 1e-10:
             raise ValueError(f"matrix is not Hermitian: max deviation {herm[n_ok]:.3e}")
@@ -149,10 +134,10 @@ class DensityOperator:
     """Hermitian, positive, unit-trace operator on a tensor-product space.
 
     Validation tolerances: Hermiticity within 1e-10 (max elementwise),
-    eigenvalues >= -``eig_tol`` (default 1e-10), trace 1 within 1e-10.
-    ``eig_tol`` may be loosened by producers whose states carry more
-    rounding, such as the normalized post-measurement branches of
-    ``entanglement.apply_instrument`` (1e-9).  It is a field: it takes
+    eigenvalues >= -``eig_tol`` (finite and >= 0, default 1e-10), trace 1
+    within 1e-10.  ``eig_tol`` may be loosened by producers whose states
+    carry more rounding, such as the normalized post-measurement branches
+    of ``entanglement.apply_instrument`` (1e-9).  It is a field: it takes
     part in ``==`` and ``repr``, and :func:`partial_trace` passes it on
     (never below the default).
     """
@@ -163,14 +148,19 @@ class DensityOperator:
 
     def __post_init__(self):
         dims = _as_dims(self.dims)
+        eig_tol = float(self.eig_tol)
+        if not (math.isfinite(eig_tol) and eig_tol >= 0.0):
+            raise ValueError(f"eig_tol must be finite and >= 0, got {eig_tol!r}")
         mat = _frozen_array(self.matrix)
-        _check_density_matrices(mat[np.newaxis], None, dims, self.eig_tol)
+        if mat.shape != (math.prod(dims),) * 2:
+            raise ValueError(f"matrix of shape {mat.shape} does not match dims {dims}")
+        _check_density_matrices(mat[np.newaxis], mat[np.newaxis, np.newaxis], eig_tol)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "eig_tol", float(self.eig_tol))
+        object.__setattr__(self, "eig_tol", eig_tol)
 
     @classmethod
-    def stack(cls, blocks, rows, dims, eig_tol: float = 1e-10) -> list["DensityOperator"]:
+    def stack(cls, blocks, rows, dims) -> list["DensityOperator"]:
         """One state per matrix of a stack given by its diagonal blocks, checked together.
 
         ``blocks`` is an ``(n, K, b, b)`` array: matrix i is zero but for
@@ -178,8 +168,8 @@ class DensityOperator:
         is a ``(K, b)`` array of distinct indices into the space of
         ``dims``; ``np.arange(d)[np.newaxis]`` makes one block of the whole
         space, a dense ``(n, 1, d, d)`` stack.  The checks and tolerances
-        are those of the constructor, run over every block at once (one
-        ``eigvalsh`` call); an invalid stack raises the error that building
+        are those of the constructor at its default ``eig_tol``, run over
+        every block at once (one ``eigvalsh`` call); an invalid stack raises the error that building
         its dense matrices one by one, in order, would raise first.  Each
         dense matrix is written once, into one read-only array that the
         states share and that does not alias ``blocks``.
@@ -196,17 +186,17 @@ class DensityOperator:
             raise ValueError(f"block rows must lie in range({d}) for dims {dims}")
         if np.bincount(rows.reshape(-1)).max() > 1:
             raise ValueError("blocks overlap: a basis row is in more than one block")
-        _check_density_matrices(blocks.reshape(-1, *blocks.shape[2:]), rows, dims, eig_tol)
+        # the rows are checked first: a negative index would wrap here
         mats = np.zeros((len(blocks), d, d), dtype=complex)
         mats[:, rows[:, :, np.newaxis], rows[:, np.newaxis, :]] = blocks
+        _check_density_matrices(mats, blocks, 1e-10)
         mats.setflags(write=False)
-        eig_tol = float(eig_tol)
         states = []
         for mat in mats:
             state = object.__new__(cls)
             object.__setattr__(state, "matrix", mat)
             object.__setattr__(state, "dims", dims)
-            object.__setattr__(state, "eig_tol", eig_tol)
+            object.__setattr__(state, "eig_tol", 1e-10)
             states.append(state)
         return states
 

@@ -968,6 +968,20 @@ class TestRee:
         assert "non-finite" in result.stderr
         assert "RuntimeWarning" not in result.stderr
 
+    @pytest.mark.parametrize("matrix, message", [
+        # finite entries whose Hermiticity deviation, 2e308, overflows
+        ("[[[0.5, 0], [0, 1e308]], [[0, 1e308], [0.5, 0]]]", "matrix is not Hermitian: max deviation inf"),
+        # finite entries whose trace, 2e308, overflows
+        ("[[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]]", "trace is (inf+0j), expected 1"),
+    ])
+    def test_overflowing_state_prints_no_warning(self, tmp_path, matrix, message):
+        state = tmp_path / "bad.json"
+        state.write_text('{"matrix": %s, "dims": [2]}' % matrix)
+        result = run_python("-m", "qlimits.cli", "ree", str(state), check=False)
+        assert result.returncode == 3
+        assert f"Error: bad state file: {message}\n" in result.stderr
+        assert "RuntimeWarning" not in result.stderr
+
     def test_non_density_input_exits_3(self, runner, tmp_path):
         state = tmp_path / "bad.json"
         matrix = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]  # trace 2

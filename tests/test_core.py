@@ -46,6 +46,13 @@ class TestPureState:
             psi.amplitudes[0] = 0.5
 
 
+# finite matrices whose Hermiticity deviation or trace overflows to inf
+OVERFLOWING = [
+    (np.array([[0.5, 1e308j], [1e308j, 0.5]]), "matrix is not Hermitian: max deviation inf"),
+    (np.diag([1e308, 1e308]).astype(complex), "trace is (inf+0j), expected 1"),
+]
+
+
 class TestDensityOperator:
     def test_rejects_non_hermitian(self):
         m = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
@@ -86,6 +93,22 @@ class TestDensityOperator:
             DensityOperator(m, (2,))
         rho = DensityOperator(m, (2,), eig_tol=1e-8)
         assert rho.dim == 2
+
+    @pytest.mark.parametrize("eig_tol", [math.nan, math.inf, -math.inf, -1e-10])
+    def test_eig_tol_must_be_finite_and_non_negative(self, eig_tol):
+        # a NaN or infinite floor would let a negative spectrum through
+        with pytest.raises(ValueError, match="eig_tol must be finite and >= 0"):
+            DensityOperator(np.diag([1.5, -0.5]), (2,), eig_tol=eig_tol)
+        with pytest.raises(ValueError, match="eig_tol"):
+            DensityOperator(np.eye(2) / 2, (2,), eig_tol=eig_tol)
+
+    @pytest.mark.parametrize("m, message", OVERFLOWING)
+    def test_overflow_of_finite_entries_raises_only_value_error(self, m, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as raised:
+                DensityOperator(m, (2,))
+        assert str(raised.value) == message
 
 
 BAD_KINDS = ("negative", "non-finite", "non-hermitian", "trace")
@@ -185,16 +208,6 @@ class TestDensityOperatorStack:
         blocks[:] = 7.0
         assert all(np.array_equal(state.matrix, m) for state, m in zip(states, expected))
 
-    def test_eig_tol_is_passed_through(self):
-        m = np.diag([1.0 + 5e-9, -5e-9]).astype(complex)
-        m /= np.trace(m).real
-        mats = np.stack([np.eye(2) / 2, m])[:, np.newaxis]
-        rows = np.arange(2)[np.newaxis]
-        with pytest.raises(ValueError, match="negative eigenvalue"):
-            DensityOperator.stack(mats, rows, (2,))
-        states = DensityOperator.stack(mats, rows, (2,), eig_tol=1e-8)
-        assert [s.eig_tol for s in states] == [1e-8, 1e-8]
-
     def test_matrix_larger_than_dims_rejected_by_its_rows(self):
         # the constructor rejects a qutrit matrix on dims (2,) for its shape;
         # a stack rejects it for rows that cannot cover it within the space
@@ -256,6 +269,36 @@ class TestDensityOperatorStack:
             warnings.simplefilter("error")
             with pytest.raises(expected[0]) as stacked:
                 DensityOperator.stack(blocks, TWO_BLOCK_ROWS, (3, 2))
+        assert str(stacked.value) == expected[1]
+
+    @pytest.mark.parametrize("m, message", OVERFLOWING)
+    def test_overflow_matches_single_constructor(self, m, message):
+        good = np.eye(2, dtype=complex) / 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as stacked:
+                DensityOperator.stack(np.stack([good, m, good])[:, np.newaxis], np.arange(2)[np.newaxis], (2,))
+        assert str(stacked.value) == message
+
+    @pytest.mark.parametrize("first", ["trace", "non-hermitian"])
+    def test_error_matches_dense_above_dimension_seven(self, first):
+        # doublets of a qubit-ququart space out of basis order, as the
+        # dephasing oracle builds them; at d = 8 the trace of the dense
+        # matrix sums its diagonal in an order of its own
+        rows = np.array([[1, 4], [2, 5]])
+        good = np.array([[[0.25, 0.1], [0.1, 0.25]]] * 2, dtype=complex)
+        bad_trace = np.array([[[0.1, 0.05], [0.05, 0.2]], [[0.4, 0.05], [0.05, 0.6]]], dtype=complex)
+        non_hermitian = good.copy()
+        non_hermitian[1, 0, 1] = 0.3
+        # the block diagonals summed in block order miss the dense trace's last bit
+        assert bad_trace.diagonal(axis1=1, axis2=2).sum() != np.trace(_dense(bad_trace, rows, 8))
+        faults = [bad_trace, non_hermitian] if first == "trace" else [non_hermitian, bad_trace]
+        blocks = np.stack([good, *faults, good])
+        dense = [_dense(blk, rows, 8) for blk in blocks]
+        expected = _first_error(dense, (2, 4))
+        assert ("trace" in expected[1]) == (first == "trace")
+        with pytest.raises(expected[0]) as stacked:
+            DensityOperator.stack(blocks, rows, (2, 4))
         assert str(stacked.value) == expected[1]
 
     def test_first_invalid_matrix_decides_the_error(self):
