@@ -33,3 +33,12 @@ def _json_excerpt(value) -> str:
     except (TypeError, ValueError):
         text = repr(value)
     return text if len(text) <= 60 else text[:60] + "..."
+
+
+def _json_list(value, what: str, kind: type) -> list:
+    """``value`` if it is a list of JSON values of type ``kind``, int or str
+    (true and false are not ints), else ValueError."""
+    if not isinstance(value, list) or not all(type(v) is kind for v in value):
+        noun = "integers" if kind is int else "strings"
+        raise ValueError(f"{what} must be a list of {noun}, got {_json_excerpt(value)}")
+    return value

@@ -31,7 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from . import _json_excerpt
+from . import _json_excerpt, _json_list
 
 __all__ = [
     "CatState",
@@ -370,19 +370,18 @@ def check_outcomes(coll: CatCollection, spec: MeasurementSpec, outcomes) -> tupl
 
 @dataclass(frozen=True)
 class ExchangeResult:
-    """Outcome of a cat-basis measurement at the exchange hub.
+    """An exchange as a swap scenario: the users' Bell pairs with the hub,
+    and the cat-basis measurement of the requested users' hub particles.
 
-    Every outcome's residual is a len(request)-particle cat over the
-    requested users' particles; unrequested users keep their Bell pairs.
+    Every outcome of ``spec`` on ``collection`` leaves a len(request)-particle
+    cat over the requested users' particles; unrequested users keep their
+    Bell pairs.
     """
 
-    users: tuple[str, ...]
-    request: tuple[str, ...]
+    collection: CatCollection
+    spec: MeasurementSpec
     user_particles: dict[str, int]
     hub_particles: dict[str, int]
-    measured: tuple[int, ...]
-    collection: CatCollection
-    outcomes: tuple[SwapOutcome, ...]
 
 
 def telephone_exchange(users, request) -> ExchangeResult:
@@ -403,6 +402,8 @@ def telephone_exchange(users, request) -> ExchangeResult:
         raise ValueError(f"unknown users in request: {unknown}")
     if not request:
         raise ValueError("request at least one user")
+    if len(set(request)) != len(request):
+        raise ValueError("duplicate user names in request")
     user_particles = {}
     hub_particles = {}
     cats = []
@@ -412,18 +413,8 @@ def telephone_exchange(users, request) -> ExchangeResult:
         user_particles[user] = mine
         hub_particles[user] = hub
         cats.append(CatState((a, b), (0, 0), +1))
-    coll = CatCollection(tuple(cats))
-    measured = tuple(sorted(hub_particles[u] for u in request))
-    outcomes = enumerate_outcomes(coll, MeasurementSpec(measured))
-    return ExchangeResult(
-        users=tuple(users),
-        request=tuple(request),
-        user_particles=user_particles,
-        hub_particles=hub_particles,
-        measured=measured,
-        collection=coll,
-        outcomes=tuple(outcomes),
-    )
+    spec = MeasurementSpec(hub_particles[u] for u in request)
+    return ExchangeResult(CatCollection(tuple(cats)), spec, user_particles, hub_particles)
 
 
 # ---------------------------------------------------------------------------
@@ -431,18 +422,12 @@ def telephone_exchange(users, request) -> ExchangeResult:
 # ---------------------------------------------------------------------------
 
 
-def _int_list(value, what) -> list:
-    """``value`` if it is a list of JSON integers (true and false are not), else ValueError."""
-    if not isinstance(value, list) or not all(type(v) is int for v in value):
-        raise ValueError(f"{what} must be a list of integers, got {_json_excerpt(value)}")
-    return value
-
-
 def scenario_from_dict(data: dict) -> tuple[CatCollection, MeasurementSpec]:
     """Parse ``{"cats": [{"particles", "bits", "sign"}], "measure": [...]}``.
 
     The schema is strict: ``particles``, ``bits`` and ``measure`` are
-    lists of integers, and ``sign`` is "+", "-", 1 or -1.
+    lists of integers, ``measure`` names each particle once, and ``sign``
+    is "+", "-", 1 or -1.
     """
     if not isinstance(data, dict) or "cats" not in data or "measure" not in data:
         raise ValueError("scenario needs 'cats' and 'measure' entries")
@@ -454,12 +439,15 @@ def scenario_from_dict(data: dict) -> tuple[CatCollection, MeasurementSpec]:
             sign = entry["sign"]
             if sign not in ("+", "-") and not (type(sign) is int and sign in (1, -1)):
                 raise ValueError(f"sign must be '+', '-', 1 or -1, got {_json_excerpt(sign)}")
-            particles = _int_list(entry["particles"], "particles")
-            bits = _int_list(entry["bits"], "bits")
+            particles = _json_list(entry["particles"], "particles", int)
+            bits = _json_list(entry["bits"], "bits", int)
             cats.append(CatState(tuple(particles), tuple(bits), sign))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad cat entry {i}: {exc}") from exc
     coll = CatCollection(tuple(cats))
-    spec = MeasurementSpec(_int_list(data["measure"], "measure"))
+    measure = _json_list(data["measure"], "measure", int)
+    spec = MeasurementSpec(measure)
+    if len(spec.selected) != len(measure):
+        raise ValueError(f"duplicate particle ids in measure {_json_excerpt(measure)}")
     return coll, spec
 

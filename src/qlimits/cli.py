@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 
 import click
 
-from . import __version__, _json_excerpt
+from . import __version__, _json_list
 
 if TYPE_CHECKING:
     from .core import DensityOperator
@@ -51,6 +51,8 @@ MAX_ORACLE_CELLS = 2**21
 # jc formats and writes its CSV this many rows at a time, so the text it
 # holds does not grow with the grid.
 CSV_BLOCK_ROWS = 2**14
+# swap and exchange write their outcome lists this many outcomes at a time.
+JSON_BLOCK_OUTCOMES = 2**12
 
 
 class InputError(click.ClickException):
@@ -154,7 +156,7 @@ _RESIDUAL_JSON = """\
 class _IntLists(dict):
     """Maps a tuple of ints to its items as json.dumps(indent=2) writes them
     ``indent`` spaces deep.  Outcomes share bit and particle tuples, so each
-    is joined once."""
+    is joined once per block of outcomes."""
 
     def __init__(self, indent: int):
         super().__init__()
@@ -165,11 +167,12 @@ class _IntLists(dict):
         return text
 
 
-def _outcomes_json(coll, spec, outcomes, **extra) -> str:
-    """The outcome document of measuring ``spec`` on ``coll``, with the keys
-    of ``extra`` added, as JSON text: byte for byte what :func:`_json_text`
-    writes, but the outcome list is filled into a fixed template instead
-    of going through the pure-Python indenting encoder.  Cats are never
+def _outcomes_json(write, coll, spec, outcomes, **extra):
+    """Write the outcome document of measuring ``spec`` on ``coll``, with the
+    keys of ``extra`` added, as JSON text: byte for byte what
+    :func:`_json_text` writes, but the outcome list is filled into a fixed
+    template instead of going through the pure-Python indenting encoder,
+    and written ``JSON_BLOCK_OUTCOMES`` outcomes at a time.  Cats are never
     empty, so no list in the template is.
     """
     from .catswap import polygon_counts, untouched_cats
@@ -183,7 +186,9 @@ def _outcomes_json(coll, spec, outcomes, **extra) -> str:
     }
     probability = {p: json.dumps(_round12(p)) for p in {o.probability for o in outcomes}}
     basis_ints, residual_ints = _IntLists(8), _IntLists(10)
-    # one list of pieces, joined once, so the document is copied only once
+    # pieces of text, joined and written once per block of outcomes; the
+    # joined lists are kept for a block too, so memory does not grow with
+    # the outcome count
     doc = ["{"]
     for key in sorted([*blob, "outcomes"]):
         doc.append(f"\n  {json.dumps(key)}: ")
@@ -193,7 +198,7 @@ def _outcomes_json(coll, spec, outcomes, **extra) -> str:
             doc.append("[]")
         else:
             separator = "[\n"
-            for o in outcomes:
+            for count, o in enumerate(outcomes, start=1):
                 residual = o.residual
                 if residual is not None:
                     residual = _RESIDUAL_JSON % (
@@ -209,10 +214,15 @@ def _outcomes_json(coll, spec, outcomes, **extra) -> str:
                     "null" if residual is None else residual,
                 ))
                 separator = ",\n"
+                if count % JSON_BLOCK_OUTCOMES == 0:
+                    write("".join(doc))
+                    doc.clear()
+                    basis_ints.clear()
+                    residual_ints.clear()
             doc.append("\n  ]")
         doc.append(",")
     doc[-1] = "\n}\n"
-    return "".join(doc)
+    write("".join(doc))
 
 
 @click.group()
@@ -355,13 +365,6 @@ def cmd_budget(l_list, epsilon, eta, ratio, ions_path, n_ops, out):
 # ---------------------------------------------------------------------------
 
 
-def _str_list(value, what) -> list:
-    """``value`` if it is a list of strings, else ValueError."""
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ValueError(f"{what} must be a list of strings, got {_json_excerpt(value)}")
-    return value
-
-
 def _write_outcomes(write, coll, spec, outcomes, verify, **extra):
     """Check ``outcomes`` against the stabilizer oracle if ``verify``, then
     write the outcome document with the keys of ``extra`` added."""
@@ -371,17 +374,25 @@ def _write_outcomes(write, coll, spec, outcomes, verify, **extra):
         ok, message = check_outcomes(coll, spec, outcomes)
         if not ok:
             raise VerificationMismatch(f"verification mismatch: {message}")
-    write(_outcomes_json(coll, spec, outcomes, **extra))
+    _outcomes_json(write, coll, spec, outcomes, **extra)
 
 
-def _write_exchange(write, result, verify):
-    """Write an exchange's outcome document, which also names each user's
-    particle and its partner at the hub."""
-    from .catswap import MeasurementSpec
+def _scenario(data):
+    """(collection, spec, extra document keys) of a parsed scenario: cat
+    states and a measurement, or an exchange, whose document also echoes
+    the users and the request and names each user's particle and its
+    partner at the hub."""
+    from . import catswap
 
-    _write_outcomes(write, result.collection, MeasurementSpec(result.measured), result.outcomes, verify,
-                    users=result.users, request=result.request,
-                    user_particles=result.user_particles, hub_particles=result.hub_particles)
+    if not (isinstance(data, dict) and "users" in data):
+        return (*catswap.scenario_from_dict(data), {})
+    users = _json_list(data["users"], "users", str)
+    request = _json_list(data.get("request", []), "request", str)
+    result = catswap.telephone_exchange(users, request)
+    return result.collection, result.spec, {
+        "users": users, "request": request,
+        "user_particles": result.user_particles, "hub_particles": result.hub_particles,
+    }
 
 
 @main.command("swap")
@@ -401,19 +412,11 @@ def cmd_swap(scenario, verify, out):
         try:
             with open(scenario, encoding="utf-8") as fh:
                 data = json.load(fh)
-            if isinstance(data, dict) and "users" in data:
-                exchange = catswap.telephone_exchange(
-                    _str_list(data["users"], "users"), _str_list(data.get("request", []), "request")
-                )
-            else:
-                coll, spec = catswap.scenario_from_dict(data)
-                exchange, outcomes = None, catswap.enumerate_outcomes(coll, spec)
+            coll, spec, extra = _scenario(data)
+            outcomes = catswap.enumerate_outcomes(coll, spec)
         except (OSError, ValueError, TypeError, RecursionError) as exc:
             raise InputError(f"bad scenario: {exc}") from exc
-        if exchange is None:
-            _write_outcomes(write, coll, spec, outcomes, verify)
-        else:
-            _write_exchange(write, exchange, verify)
+        _write_outcomes(write, coll, spec, outcomes, verify, **extra)
 
 
 @main.command("exchange")
@@ -430,10 +433,11 @@ def cmd_exchange(users, request_, verify, out):
     request_list = [u.strip() for u in request_.split(",") if u.strip()]
     with _output(out) as write:
         try:
-            result = catswap.telephone_exchange(user_list, request_list)
+            coll, spec, extra = _scenario({"users": user_list, "request": request_list})
+            outcomes = catswap.enumerate_outcomes(coll, spec)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
-        _write_exchange(write, result, verify)
+        _write_outcomes(write, coll, spec, outcomes, verify, **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +456,7 @@ def _load_density(path) -> DensityOperator:
         data = json.load(fh)
     if not isinstance(data, dict) or "matrix" not in data or "dims" not in data:
         raise ValueError("input needs 'matrix' ([[re, im] pairs]) and 'dims'")
-    dims = data["dims"]
-    if not isinstance(dims, list) or not all(type(d) is int for d in dims):
-        raise ValueError(f"dims must be a list of integers, got {_json_excerpt(dims)}")
+    dims = _json_list(data["dims"], "dims", int)
     raw = data["matrix"]
     if not isinstance(raw, list) or not all(
         isinstance(row, list) and all(_is_number_pair(cell) for cell in row) for row in raw
@@ -471,9 +473,8 @@ def _is_number_pair(cell) -> bool:
 @main.command("ree")
 @click.argument("state_file", type=click.Path(), required=False)
 @click.option("--axioms", is_flag=True, help="Run the E1-E6 axiom harness instead.")
-@click.option("--seed", type=click.IntRange(min=0), default=0, envvar="QLIMITS_SEED",
-              show_default=True,
-              help="Seed for the random cases of --axioms (QLIMITS_SEED is the fallback).")
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
+              help="Seed for the random cases of --axioms.")
 @click.option("--out", default="-", show_default=True, help="JSON destination.")
 def cmd_ree(state_file, axioms, seed, out):
     """Relative entropy of entanglement of a density operator."""

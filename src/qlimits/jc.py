@@ -350,6 +350,17 @@ def _population_term(
     return np.multiply(0.5, np.add(out, scratch, out=out), out=out)
 
 
+def _time_grid(t) -> tuple[np.ndarray, float]:
+    """``t`` as a float array of at least one dimension, and its maximum;
+    ValueError unless it is nonempty, finite and nonnegative."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if t.size == 0:
+        raise ValueError("empty time grid")
+    if not (np.isfinite(t).all() and t.min() >= 0.0):
+        raise ValueError("time grid must be finite and nonnegative")
+    return t, float(t.max())
+
+
 def population_lower(
     t,
     dist: VibrationalDistribution,
@@ -361,12 +372,7 @@ def population_lower(
     ``t`` is a grid of dimensionless g*t values.  The initial condition
     is the spin-down product state carrying the given vibrational weights.
     """
-    tau = np.atleast_1d(np.asarray(t, dtype=float))
-    if tau.size == 0:
-        raise ValueError("empty time grid")
-    if not (np.isfinite(tau).all() and tau.min() >= 0.0):
-        raise ValueError("time grid must be finite and nonnegative")
-    t_max = float(tau.max())
+    tau, t_max = _time_grid(t)
     acc = np.zeros_like(tau)
     term, scratch = np.empty_like(tau), np.empty_like(tau)
     with np.errstate(over="ignore"):
@@ -434,12 +440,8 @@ def _oracle_modes(dist, params, model, t_grid):
     """The checked time grid, the doublet eigenvalues (n_max + 1, 4), the
     shared eigenbasis, the initial state's coefficients in it (n_max + 1, 4),
     and the motional truncation of the dense states."""
-    t = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if t.size == 0:
-        raise ValueError("empty time grid")
-    if not np.isfinite(t).all() or (np.diff(t) < 0).any() or t[0] < 0:
-        raise ValueError("time grid must be finite, nonnegative and nondecreasing")
-    if not math.isfinite(2.0 * math.sqrt(dist.n_max + 1) * float(t[-1])):
+    t, t_max = _time_grid(t_grid)
+    if not math.isfinite(2.0 * math.sqrt(dist.n_max + 1) * t_max):
         raise ValueError(f"the Rabi phase of doublet n={dist.n_max} leaves the float range")
     # Two guard levels beyond the populated doublets; the dynamics is
     # block-diagonal in the doublets so the truncation is exact.
@@ -472,14 +474,6 @@ def _modal_amplitudes(evals, coeffs, t) -> np.ndarray:
     return amplitudes
 
 
-def _oracle_blocks(dist, params, model, t_grid) -> tuple[np.ndarray, int]:
-    """rho(t) on (|down,n+1>, |up,n>) for each doublet n, shape (T, n_max + 1, 2, 2),
-    and the motional truncation of the dense states."""
-    t, evals, vecs, coeffs, n_levels = _oracle_modes(dist, params, model, t_grid)
-    blocks = np.einsum("ij,tkj->tki", vecs, _modal_amplitudes(evals, coeffs, t))
-    return blocks.reshape(t.size, -1, 2, 2), n_levels
-
-
 def dephasing_oracle_trajectory(
     dist: VibrationalDistribution,
     params: DecoherenceParams,
@@ -492,7 +486,9 @@ def dephasing_oracle_trajectory(
     tolerances of one ``DensityOperator`` each, so every one is
     Hermitian, unit-trace and positive.
     """
-    blocks, n_levels = _oracle_blocks(dist, params, model, t_grid)
+    t, evals, vecs, coeffs, n_levels = _oracle_modes(dist, params, model, t_grid)
+    # rho(t) on (|down,n+1>, |up,n>) for each doublet n, shape (T, n_max + 1, 2, 2)
+    blocks = np.einsum("ij,tkj->tki", vecs, _modal_amplitudes(evals, coeffs, t)).reshape(t.size, -1, 2, 2)
     n = np.arange(blocks.shape[1])
     rows = np.stack([n + 1, n_levels + n], axis=1)
     return DensityOperator.stack(blocks, rows, (2, n_levels))

@@ -187,11 +187,11 @@ def test_criterion_swapping_oracle_equivalence():
 
     # telephone exchange: request three of four users
     result = telephone_exchange(["A", "B", "C", "D"], ["A", "B", "C"])
-    assert result.measured == (2, 3, 5)
-    for o in result.outcomes:
+    assert result.spec == MeasurementSpec((2, 3, 5))
+    for o in enumerate_outcomes(result.collection, result.spec):
         assert o.residual is not None and o.residual.n_particles == 3
         assert o.residual.particles == (1, 4, 6)
-    ok, message = verify_against_oracle(result.collection, MeasurementSpec(result.measured))
+    ok, message = verify_against_oracle(result.collection, result.spec)
     assert ok, message
     report_pass(
         "swapping-oracle",

@@ -459,22 +459,30 @@ class TestRandomizedOracleEquivalence:
 class TestTelephoneExchange:
     def test_figure_layout(self):
         result = telephone_exchange(["A", "B", "C", "D"], ["A", "B", "C"])
-        assert result.measured == (2, 3, 5)
+        assert result.spec == MeasurementSpec((2, 3, 5))
         assert [result.user_particles[u] for u in "ABC"] == [1, 4, 6]
+
+    def test_result_is_a_scenario(self):
+        # the exchange builds the scenario; outcomes come from the enumerator
+        result = telephone_exchange(["A", "B"], ["A", "B"])
+        assert [f.name for f in dataclasses.fields(result)] == [
+            "collection", "spec", "user_particles", "hub_particles"]
+        assert result.hub_particles == {"A": 2, "B": 3}
 
     def test_three_user_request_yields_ghz(self):
         result = telephone_exchange(["A", "B", "C", "D"], ["A", "B", "C"])
-        for o in result.outcomes:
+        for o in enumerate_outcomes(result.collection, result.spec):
             assert o.residual.particles == (1, 4, 6)
             assert o.residual.n_particles == 3
         # D's pair is untouched
-        untouched = untouched_cats(result.collection, MeasurementSpec(result.measured))
+        untouched = untouched_cats(result.collection, result.spec)
         assert untouched[0].particles == (7, 8)
 
     def test_single_user_request(self):
         result = telephone_exchange(["A", "B"], ["B"])
-        assert len(result.outcomes) == 2
-        for o in result.outcomes:
+        outcomes = enumerate_outcomes(result.collection, result.spec)
+        assert len(outcomes) == 2
+        for o in outcomes:
             assert o.residual.n_particles == 1
             assert o.probability == pytest.approx(0.5, abs=1e-15)
 
@@ -482,18 +490,19 @@ class TestTelephoneExchange:
         for n in (2, 3, 5):
             names = [f"U{i}" for i in range(n)]
             result = telephone_exchange(names, names)
-            ok, message = verify_against_oracle(
-                result.collection, MeasurementSpec(result.measured)
-            )
+            ok, message = verify_against_oracle(result.collection, result.spec)
             assert ok, message
-            assert all(o.residual.n_particles == n for o in result.outcomes)
+            outcomes = enumerate_outcomes(result.collection, result.spec)
+            assert all(o.residual.n_particles == n for o in outcomes)
 
     def test_outcome_cap(self):
         # 16 users, all requested: 2^16 outcomes, exactly the cap
         names = [f"U{i}" for i in range(16)]
-        assert len(telephone_exchange(names, names).outcomes) == MAX_OUTCOMES
+        result = telephone_exchange(names, names)
+        assert len(enumerate_outcomes(result.collection, result.spec)) == MAX_OUTCOMES
+        result = telephone_exchange(names + ["U16"], names + ["U16"])
         with pytest.raises(ValueError, match="MAX_OUTCOMES"):
-            telephone_exchange(names + ["U16"], names + ["U16"])
+            enumerate_outcomes(result.collection, result.spec)
         # consumed cats halve the count: 17 fully measured Bell pairs are allowed
         bells = CatCollection(tuple(CatState((2 * i, 2 * i + 1), (0, 0), +1) for i in range(18)))
         everything = MeasurementSpec(range(34))
@@ -508,6 +517,13 @@ class TestTelephoneExchange:
     def test_empty_request(self):
         with pytest.raises(ValueError, match="at least one"):
             telephone_exchange(["A", "B"], [])
+
+    @pytest.mark.parametrize("request_", [["A", "A"], ["A", "B", "A"]])
+    def test_repeated_request_rejected(self, request_):
+        # a repeated user names one hub particle twice, so the residual cat
+        # would have fewer than len(request) particles
+        with pytest.raises(ValueError, match="duplicate user names in request"):
+            telephone_exchange(["A", "B", "C"], request_)
 
 
 class TestScenarioSchema:
@@ -530,3 +546,10 @@ class TestScenarioSchema:
             scenario_from_dict({"cats": []})
         with pytest.raises(ValueError, match="bad cat entry"):
             scenario_from_dict({"cats": [{"particles": [1], "bits": [2], "sign": "+"}], "measure": [1]})
+
+    def test_repeated_measure_id_rejected(self):
+        # measure names each particle once, as a cat's particles do
+        cats = [{"particles": [1, 2], "bits": [0, 0], "sign": "+"},
+                {"particles": [3, 4], "bits": [0, 0], "sign": "+"}]
+        with pytest.raises(ValueError, match=r"duplicate particle ids in measure \[2, 3, 3\]"):
+            scenario_from_dict({"cats": cats, "measure": [2, 3, 3]})

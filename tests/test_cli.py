@@ -100,11 +100,10 @@ def test_exchange_verify_worst_case():
     assert verified.stdout == run_python(*argv).stdout
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
-def test_oracle_near_cell_cap_in_bounded_memory():
-    # thermal:12.5 has 240 doublets, so 8700 points are 2088000 cells, just
-    # under MAX_ORACLE_CELLS.  The child reads its own peak RSS: a child's
-    # ru_maxrss also counts the pages of the process that started it.
+def peak_kib(argv):
+    """Run the CLI on ``argv`` in a fresh interpreter; (stdout, the child's
+    own peak RSS in KiB).  A child's ru_maxrss also counts the pages of the
+    process that started it, so the child reads VmHWM itself."""
     script = (
         "import atexit, sys\n"
         "from qlimits.cli import main\n"
@@ -113,11 +112,28 @@ def test_oracle_near_cell_cap_in_bounded_memory():
         "        kib = next(int(line.split()[1]) for line in status if line.startswith('VmHWM:'))\n"
         "    sys.stderr.write(f'peak_kib={kib}\\n')\n"
         "atexit.register(peak)\n"
-        "main(['jc', '--dist', 'thermal:12.5', '--points', '8700', '--oracle'])\n"
+        f"main({argv!r})\n"
     )
     result = run_python("-c", script)
-    assert len(result.stdout.splitlines()) == 8701
-    kib = int(result.stderr.rsplit("peak_kib=", 1)[1])
+    return result.stdout, int(result.stderr.rsplit("peak_kib=", 1)[1])
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+def test_exchange_verify_worst_case_in_bounded_memory():
+    # the outcome document is written in blocks of outcomes; held whole,
+    # its text took the 16-user run to 176 MB
+    names = ",".join(f"u{i}" for i in range(16))
+    stdout, kib = peak_kib(["exchange", "--users", names, "--request", names, "--verify"])
+    assert stdout.count('"basis_sign"') == catswap.MAX_OUTCOMES
+    assert kib < 110 * 1024, kib
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+def test_oracle_near_cell_cap_in_bounded_memory():
+    # thermal:12.5 has 240 doublets, so 8700 points are 2088000 cells, just
+    # under MAX_ORACLE_CELLS
+    stdout, kib = peak_kib(["jc", "--dist", "thermal:12.5", "--points", "8700", "--oracle"])
+    assert len(stdout.splitlines()) == 8701
     assert kib < 100 * 1024, kib
 
 
@@ -717,7 +733,13 @@ class TestSwap:
          "bad scenario: bad cat entry 0: a cat state needs at least one particle"),
         ({"cats": [{"particles": [-1, 2], "bits": [0, 0], "sign": "+"}], "measure": [2]},
          "bad scenario: bad cat entry 0: particle ids must be nonnegative"),
-    ], ids=["content0", "content1", "content2", "empty-cat", "negative-id"])
+        # measure names each particle once, and request each user once
+        ({"cats": [{"particles": [1, 2], "bits": [0, 0], "sign": "+"},
+                   {"particles": [3, 4], "bits": [0, 0], "sign": "+"}], "measure": [2, 3, 3]},
+         "bad scenario: duplicate particle ids in measure [2, 3, 3]"),
+        ({"users": ["A", "B"], "request": ["A", "A"]}, "bad scenario: duplicate user names in request"),
+    ], ids=["content0", "content1", "content2", "empty-cat", "negative-id", "repeated-measure",
+            "repeated-request"])
     def test_wrong_shape_exits_3(self, runner, tmp_path, content, message):
         scenario = tmp_path / "bad.json"
         scenario.write_text(json.dumps(content))
@@ -783,8 +805,20 @@ def reference_json(blob):
     return json.dumps(cli_module._round12(blob), indent=2, sort_keys=True) + "\n"
 
 
+def outcomes_json(coll, spec, outcomes):
+    """The outcome document as _outcomes_json writes it, with its writes joined."""
+    pieces = []
+    cli_module._outcomes_json(pieces.append, coll, spec, outcomes)
+    return "".join(pieces)
+
+
 class TestOutcomeEmitter:
-    def test_matches_stdlib_encoder_on_scenarios(self):
+    # blocks of 1, 2 and 3 outcomes put a block boundary after every outcome
+    # of the scenarios below
+    @pytest.mark.parametrize("block", [None, 1, 2, 3])
+    def test_matches_stdlib_encoder_on_scenarios(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(cli_module, "JSON_BLOCK_OUTCOMES", block)
         bell = [{"particles": [1, 2], "bits": [0, 0], "sign": "+"},
                 {"particles": [3, 4], "bits": [0, 0], "sign": "+"}]
         scenarios = [
@@ -802,10 +836,20 @@ class TestOutcomeEmitter:
             outcomes = catswap.enumerate_outcomes(coll, spec)
             consumed += outcomes[0].residual is None
             expected = reference_json(outcome_document(coll, spec, outcomes))
-            assert cli_module._outcomes_json(coll, spec, outcomes) == expected
+            assert outcomes_json(coll, spec, outcomes) == expected
         assert consumed >= 10
         coll, spec = scenarios[0]
-        assert cli_module._outcomes_json(coll, spec, ()) == reference_json(outcome_document(coll, spec, ()))
+        assert outcomes_json(coll, spec, ()) == reference_json(outcome_document(coll, spec, ()))
+
+    def test_writes_in_blocks_of_outcomes(self, monkeypatch):
+        monkeypatch.setattr(cli_module, "JSON_BLOCK_OUTCOMES", 3)
+        coll, spec = catswap.scenario_from_dict(LARGE_SWAP_SCENARIO)
+        outcomes = catswap.enumerate_outcomes(coll, spec)
+        pieces = []
+        cli_module._outcomes_json(pieces.append, coll, spec, outcomes)
+        # one write per full block, and one for the rest of the document
+        assert len(pieces) == len(outcomes) // 3 + 1
+        assert [piece.count('"basis_sign"') for piece in pieces[:-1]] == [3] * (len(pieces) - 1)
 
     @pytest.mark.parametrize("users, request_", [
         ("A", "A"), ("A,B,C,D", "A,B,C"), ("A,B,C,D,E,F,G,H", "H,B"),
@@ -815,8 +859,9 @@ class TestOutcomeEmitter:
     def test_exchange_matches_stdlib_encoder(self, runner, users, request_):
         output = invoke(runner, "exchange", "--users", users, "--request", request_).output
         result = catswap.telephone_exchange(users.split(","), request_.split(","))
-        blob = outcome_document(result.collection, catswap.MeasurementSpec(result.measured), result.outcomes)
-        blob.update(users=list(result.users), request=list(result.request),
+        outcomes = catswap.enumerate_outcomes(result.collection, result.spec)
+        blob = outcome_document(result.collection, result.spec, outcomes)
+        blob.update(users=users.split(","), request=request_.split(","),
                     user_particles=result.user_particles, hub_particles=result.hub_particles)
         assert output == reference_json(blob)
 
@@ -848,6 +893,13 @@ class TestExchange:
     def test_unknown_user_exits_3(self, runner):
         result = runner.invoke(main, ["exchange", "--users", "A,B", "--request", "Z"])
         assert result.exit_code == 3
+
+    def test_repeated_request_exits_3(self, runner):
+        # a repeated user would leave residuals of fewer than len(request) particles
+        result = runner.invoke(main, ["exchange", "--users", "A,B", "--request", "A,A"])
+        assert result.exit_code == 3, result.output
+        assert result.stderr == "Error: duplicate user names in request\n"
+        assert result.stdout == ""
 
 
 # the fifth state (index 4) of the seed-17 2x2 sweep in
@@ -1008,7 +1060,7 @@ class TestRee:
         assert data["converged"] is True
         assert sorted(data) == ["converged", "restarts", "value_bits", "value_nats"]
 
-    def test_seed_env_fallback(self, runner, tmp_path, monkeypatch):
+    def test_seed_never_moves_a_solve(self, runner, tmp_path):
         # an NPT state with unequal marginals (Werner p = 0.8 tilted toward
         # |00>) has no closed form, so both runs search; the seed only drives
         # --axioms and must not move a solve.  The Werner state itself takes
@@ -1025,10 +1077,8 @@ class TestRee:
             state = tmp_path / f"{name}.json"
             state.write_text(json.dumps({"matrix": [[[x, 0.0] for x in row] for row in matrix.tolist()],
                                          "dims": [2, 2]}))
-            monkeypatch.delenv("QLIMITS_SEED", raising=False)
             a = invoke(runner, "ree", str(state)).output
-            monkeypatch.setenv("QLIMITS_SEED", "7")
-            b = invoke(runner, "ree", str(state)).output
+            b = invoke(runner, "ree", str(state), "--seed", "7").output
             assert a == b
             outputs[name] = json.loads(a)
         data = outputs["werner"]
@@ -1102,16 +1152,12 @@ class TestRee:
         data = json.loads(result.output)
         assert data["passed"] is True
         assert captured["seed"] == 3
-        # QLIMITS_SEED is the fallback for --seed
+        # --seed is the only spelling: the environment does not move it
         monkeypatch.setenv("QLIMITS_SEED", "7")
         assert invoke(runner, "ree", "--axioms").exit_code == 0
-        assert captured["seed"] == 7
+        assert captured["seed"] == 0
 
-    @pytest.mark.parametrize("argv, env", [
-        (["--seed", "-1"], {}),
-        ([], {"QLIMITS_SEED": "-5"}),
-    ], ids=["option", "env"])
-    def test_negative_seed_exits_2_before_the_harness(self, runner, tmp_path, monkeypatch, argv, env):
+    def test_negative_seed_exits_2_before_the_harness(self, runner, tmp_path, monkeypatch):
         from qlimits import entanglement
 
         def refuse(seed):
@@ -1119,7 +1165,7 @@ class TestRee:
 
         monkeypatch.setattr(entanglement, "axiom_harness", refuse)
         out = tmp_path / "axioms.json"
-        result = runner.invoke(main, ["ree", "--axioms", *argv, "--out", str(out)], env=env)
+        result = runner.invoke(main, ["ree", "--axioms", "--seed", "-1", "--out", str(out)])
         assert result.exit_code == 2, result.output
         assert "Invalid value for '--seed'" in result.stderr
         assert result.stdout == ""

@@ -20,7 +20,8 @@ from qlimits.jc import (
     DecoherenceParams,
     OverdampedError,
     VibrationalDistribution,
-    _oracle_blocks,
+    _modal_amplitudes,
+    _oracle_modes,
     calibrated_kappa0,
     coherent_frequency,
     damping_rate_dimensional,
@@ -37,6 +38,14 @@ from qlimits.jc import (
 
 DI = CouplingModel.IMPERFECT_DIPOLE
 VI = CouplingModel.TRAP_FLUCTUATION
+
+
+def oracle_blocks(dist, params, model, grid):
+    """The oracle's rho(t) on (|down,n+1>, |up,n>) for each doublet n, shape
+    (T, n_max + 1, 2, 2), from its modes, and the motional truncation."""
+    t, evals, vecs, coeffs, n_levels = _oracle_modes(dist, params, model, grid)
+    blocks = np.einsum("ij,tkj->tki", vecs, _modal_amplitudes(evals, coeffs, t))
+    return blocks.reshape(t.size, -1, 2, 2), n_levels
 
 
 def reference_hamiltonian(n_levels, g=1.0):
@@ -455,10 +464,25 @@ class TestDephasingOracle:
         dist = VibrationalDistribution.fock(0)
         with pytest.raises(ValueError, match="empty"):
             dephasing_oracle_trajectory(dist, params, DI, [])
-        with pytest.raises(ValueError, match="nondecreasing"):
-            dephasing_oracle_trajectory(dist, params, DI, [1.0, 0.5])
         with pytest.raises(ValueError, match="finite"):
             dephasing_oracle_trajectory(dist, params, DI, [0.0, math.nan])
+        with pytest.raises(ValueError, match="nonnegative"):
+            dephasing_oracle_trajectory(dist, params, DI, [1.0, -0.5])
+
+    @pytest.mark.parametrize("spec", ["fock:3", "thermal:1.5"])
+    def test_unsorted_grid_gives_the_sorted_states_permuted(self, spec):
+        # the grid needs no order: each time is propagated on its own
+        dist = VibrationalDistribution.parse(spec)
+        params = DecoherenceParams(0.12, 0.4)
+        grid = np.linspace(0.0, 25.0, 30)
+        order = np.random.default_rng(3).permutation(grid.size)
+        states = dephasing_oracle_trajectory(dist, params, DI, grid)
+        shuffled = dephasing_oracle_trajectory(dist, params, DI, grid[order])
+        for i, state in zip(order, shuffled):
+            assert np.array_equal(state.matrix, states[i].matrix)
+            assert state.eig_tol == states[i].eig_tol
+        assert np.array_equal(oracle_population_lower(grid[order], dist, params, DI),
+                              oracle_population_lower(grid, dist, params, DI)[order])
 
     def test_grids_and_rates_at_the_float_range(self):
         dist = VibrationalDistribution.fock(3)
@@ -526,7 +550,7 @@ class TestDephasingOracle:
         dist = VibrationalDistribution.parse(spec)
         params = DecoherenceParams(0.12, 0.4)
         states = dephasing_oracle_trajectory(dist, params, model, grid)
-        blocks, n_levels = _oracle_blocks(dist, params, model, grid)
+        blocks, n_levels = oracle_blocks(dist, params, model, grid)
         assert len(states) == len(blocks)
         for state, blk in zip(states, blocks):
             rho = np.zeros((2 * n_levels, 2 * n_levels), dtype=complex)
@@ -604,7 +628,7 @@ class TestDephasingOracle:
             evals = np.diag(vecs.conj().T @ liouvillian @ vecs)
             expected.append((vecs * (p * vecs[0].conj() * np.exp(np.outer(t, evals)))[:, None, :]).sum(-1))
         expected = np.stack(expected, axis=1).reshape(t.size, -1, 2, 2)
-        blocks, levels = _oracle_blocks(dist, params, model, t)
+        blocks, levels = oracle_blocks(dist, params, model, t)
         assert levels == n_levels
         assert np.abs(blocks - expected).max() <= 1e-12
 
